@@ -1,9 +1,10 @@
 """Durable-state overhead: MemoryStateStore vs SqliteStateStore.
 
-Runs one identical streaming workload through ``TelemetryPipeline``
-twice — once against the default in-memory store and once against a
-SQLite store on disk (WAL, ``synchronous=NORMAL``) — and reports the
-ingest rate of each plus the overhead ratio.  The two runs share a seed,
+Runs one identical streaming workload through ``ShardedPipeline`` in
+its default single-shard serial layout twice — once against the default
+in-memory store and once against a SQLite store on disk (WAL,
+``synchronous=NORMAL``) — and reports the ingest rate of each plus the
+overhead ratio.  The two runs share a seed,
 so the bench also asserts the durability layer's core contract: the
 persisted run's estimates are bit-identical to the in-memory run's.
 
@@ -22,7 +23,7 @@ import numpy as np
 from repro.data import zipf_histogram
 from repro.data.synthetic import values_from_histogram
 from repro.persistence import MemoryStateStore, SqliteStateStore
-from repro.service import StreamConfig, TelemetryPipeline
+from repro.service import ShardedPipeline, StreamConfig
 
 from bench_common import BenchResult, bench_scale, bench_seed, emit, run_once, \
     standalone_main
@@ -36,7 +37,7 @@ EPS_TARGETS = (1.0, 3.0, 6.0)
 
 def _stream_once(config: StreamConfig, epoch_size: int, store):
     rng = np.random.default_rng(bench_seed())
-    pipeline = TelemetryPipeline(config, rng, store=store)
+    pipeline = ShardedPipeline(config, rng, store=store)
     started = time.perf_counter()
     for __ in range(EPOCHS):
         histogram = zipf_histogram(epoch_size, D, 1.3, rng)

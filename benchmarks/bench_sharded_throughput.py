@@ -12,9 +12,14 @@ release side (fake injection + permutation + decode + the O(n*d)
 support-count kernel) is vectorized numpy, so the transport is the
 remaining memory-movement cost the shm path eliminates.
 
-A second experiment rides along: the cross-flush **seed-row cache**
-(:class:`repro.hashing.kernels.SeedRowCache`).  A retained report set is
-folded repeatedly — the documented O(u*d) re-aggregation workload where
+Two more experiments ride along.  The **statistical path** folds the
+serial run's flush schedule through
+:meth:`repro.service.IncrementalAggregator.fold_histogram` — the O(d)
+closed-form sampling route used for paper-scale simulation, which never
+materializes a report — and records its rate.  The cross-flush
+**seed-row cache**
+(:class:`repro.hashing.kernels.SeedRowCache`) is measured on a
+retained report set folded repeatedly — the documented O(u*d) re-aggregation workload where
 every seed after the first pass is a repeat — once with the cache off
 and once with it on, asserting equal counts and recording the speedup
 and hit rate.
@@ -44,7 +49,12 @@ import numpy as np
 
 from repro.data import zipf_histogram
 from repro.data.synthetic import values_from_histogram
-from repro.service import ShardedPipeline, StreamConfig, oracle_from_plan
+from repro.service import (
+    IncrementalAggregator,
+    ShardedPipeline,
+    StreamConfig,
+    oracle_from_plan,
+)
 
 from bench_common import (
     BenchResult,
@@ -109,6 +119,36 @@ def _run_config(
         workers = pipeline.workers if fold_backend == "process" else 1
         stats = pipeline.transport_stats()
     return result, elapsed, workers, stats
+
+
+def _statistical_path_experiment(
+    config: StreamConfig, epoch_size: int, flush_size: int
+) -> dict:
+    """The serial run's flush schedule via closed-form sampling.
+
+    One :meth:`~repro.service.IncrementalAggregator.fold_histogram` per
+    flush, each with the plan's ``n_r`` fakes: O(d) per fold, no report
+    is ever materialized.
+    """
+    rng = np.random.default_rng(bench_seed())
+    aggregator = IncrementalAggregator(oracle_from_plan(config.d, config.plan))
+    full, remainder = divmod(epoch_size, flush_size)
+    sizes = [flush_size] * full + ([remainder] if remainder else [])
+    histograms = [
+        zipf_histogram(size, D, ZIPF_EXPONENT, rng)
+        for __ in range(EPOCHS)
+        for size in sizes
+    ]
+    started = time.perf_counter()
+    for histogram in histograms:
+        aggregator.fold_histogram(histogram, config.plan.n_r, rng)
+    elapsed = time.perf_counter() - started
+    return {
+        "folds": len(histograms),
+        "reports": aggregator.n_genuine,
+        "wall_seconds": elapsed,
+        "reports_per_sec": aggregator.n_genuine / elapsed if elapsed > 0 else None,
+    }
 
 
 def _seed_cache_experiment() -> dict:
@@ -206,6 +246,7 @@ def _experiment() -> BenchResult:
     speedup = serial_s / shm_s if shm_s > 0 else None
     shm_vs_pickle = pickle_s / shm_s if shm_s > 0 else None
 
+    statistical = _statistical_path_experiment(config, epoch_size, flush_size)
     cache = _seed_cache_experiment()
 
     extra = {
@@ -240,6 +281,7 @@ def _experiment() -> BenchResult:
         "shm_vs_pickle_speedup": shm_vs_pickle,
         "bytes_moved": shm_stats["bytes_moved"],
         "shm_peak_bytes": shm_stats["shm_peak_bytes"],
+        "statistical_path": statistical,
         "seed_cache_identical": cache["identical"],
         "seed_cache_speedup": cache["speedup"],
         "seed_cache_hit_rate": cache["hit_rate"],
@@ -270,6 +312,9 @@ def _experiment() -> BenchResult:
             else ""
         )
         + "\n"
+        f"statistical path (fold_histogram, O(d) per fold): "
+        f"{rate(statistical['reports_per_sec'])} over "
+        f"{statistical['folds']} closed-form folds\n"
         f"seed cache ({cache['folds']} folds of {cache['reports']} retained "
         f"reports): {fmt_speedup(cache['speedup'])} vs cache-off, "
         f"hit rate {cache['hit_rate']:.2f}, counts identical: "

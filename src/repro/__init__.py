@@ -50,15 +50,16 @@ Quick start — one session object covers one-shot, sweep, and streaming::
     sweep = session.sweep(data.histogram, [0.2, 0.5, 1.0], repeats=5, seed=0)
     print(sweep.table())
 
-    pipeline = session.stream(flush_size=10_000)   # TelemetryPipeline
+    pipeline = session.stream(flush_size=10_000)   # ShardedPipeline
     pipeline.submit(np.random.default_rng(1).integers(0, data.d, 10_000))
     print(pipeline.end_epoch())
 
 Streaming scales out without changing results: ``session.stream(...,
-shards=4, backend="process")`` returns a
-:class:`~repro.service.ShardedPipeline` that folds flushes on a
-spawn-safe process pool — estimates are bit-identical to the single-shard
-pipeline at the same seed, at any shard or worker count.
+shards=4, backend="process")`` returns the same
+:class:`~repro.service.ShardedPipeline` class laid out over four shards
+folded on a spawn-safe process pool — estimates are bit-identical to the
+default single-shard serial layout at the same seed, at any shard or
+worker count.
 
 Serving over the network — ``repro serve`` stands the same pipeline up
 behind HTTP (stdlib only; SIGTERM shuts it down cleanly, exit 0)::
@@ -79,8 +80,9 @@ bit-identical to an in-process run fed the same arrival order at the
 same seed.
 
 The legacy entry points (direct oracle construction,
-``analysis.run_sweep``, ``service.TelemetryPipeline``) remain supported
-and bit-identical; the facade is a thin validated wrapper over them.
+``analysis.run_sweep``, ``service.ShardedPipeline`` — also exported
+under its older name ``service.TelemetryPipeline``) remain supported and
+bit-identical; the facade is a thin validated wrapper over them.
 """
 
 __version__ = "1.1.0"

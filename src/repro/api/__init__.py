@@ -13,14 +13,14 @@ unifies them behind three small types:
 ... )
 >>> result = session.estimate(histogram, seed=0)        # EstimateResult
 >>> sweep = session.sweep(histogram, [0.2, 0.5, 1.0])   # SweepResultSet
->>> pipeline = session.stream(flush_size=50_000)        # TelemetryPipeline
+>>> pipeline = session.stream(flush_size=50_000)        # ShardedPipeline
 
 Configs are frozen dataclasses validated at construction against the
 mechanism registry's capability flags; every misconfiguration raises
 :class:`~repro.core.errors.ConfigError` naming the offending field, with
 did-you-mean suggestions for mechanism typos.  The verbs delegate to the
 same engines the legacy entry points use (direct oracles,
-``analysis.experiments.run_sweep``, ``service.TelemetryPipeline``) and
+``analysis.experiments.run_sweep``, ``service.ShardedPipeline``) and
 are bit-identical to them at fixed seeds — the facade packages, it never
 re-implements.
 """

@@ -11,14 +11,14 @@ the library's three execution styles as three verbs:
   epsilon grid x repeats on the deterministic parallel trial-plan engine,
   returning a :class:`~repro.api.results.SweepResultSet`;
 * :meth:`ShuffleSession.stream` — a configured, ready-to-feed
-  :class:`~repro.service.pipeline.TelemetryPipeline` for a continuous
+  :class:`~repro.service.sharded.ShardedPipeline` for a continuous
   deployment, planned by Section VI-D.
 
 Equivalence guarantees (enforced by ``tests/api``): each verb is a *thin*
 delegate to the pre-existing engine — ``estimate`` matches the direct
 ``registry.build_mechanism(...).estimate_from_histogram(...)`` path,
 ``sweep`` matches :func:`repro.analysis.experiments.run_sweep`, and
-``stream`` matches a hand-built ``StreamConfig`` + ``TelemetryPipeline``
+``stream`` matches a hand-built ``StreamConfig`` + ``ShardedPipeline``
 — bit for bit at a fixed seed.  The facade adds validation, provenance,
 and result packaging, never different math.
 """
@@ -56,31 +56,21 @@ def _resume_stream(store, stream_options: dict):
     :meth:`ShuffleSession.stream` call, so the recovered pipeline runs
     the way the operator configured it.
     """
-    from ..service.pipeline import TelemetryPipeline
     from ..service.sharded import ShardedPipeline
 
-    shards = int(stream_options.get("shards", 1))
-    fold_backend = stream_options.get("backend", "serial")
     chunk_bytes = stream_options.get("chunk_bytes")
     if chunk_bytes is not None:
         from ..hashing.calibrate import resolve_chunk_bytes
 
         chunk_bytes = resolve_chunk_bytes(chunk_bytes, store=store)
-    seed_cache_bytes = int(stream_options.get("seed_cache_bytes", 0))
-    if shards == 1 and fold_backend == "serial":
-        return TelemetryPipeline.resume(
-            store,
-            chunk_bytes=chunk_bytes,
-            seed_cache_bytes=seed_cache_bytes,
-        )
     return ShardedPipeline.resume(
         store,
-        n_shards=shards,
-        fold_backend=fold_backend,
+        n_shards=int(stream_options.get("shards", 1)),
+        fold_backend=stream_options.get("backend", "serial"),
         workers=stream_options.get("fold_workers"),
         transport=stream_options.get("transport", "shm"),
         chunk_bytes=chunk_bytes,
-        seed_cache_bytes=seed_cache_bytes,
+        seed_cache_bytes=int(stream_options.get("seed_cache_bytes", 0)),
         fold_timeout=stream_options.get("fold_timeout"),
         max_fold_retries=int(stream_options.get("fold_retries", 2)),
         degrade=bool(stream_options.get("degrade", True)),
@@ -302,12 +292,10 @@ class ShuffleSession:
         restricts the planner to it; ``mechanism="auto"`` keeps the
         paper's free variance-optimal choice.
 
-        ``shards`` and ``backend`` select the fold execution: the
-        defaults return the single-shard
-        :class:`~repro.service.pipeline.TelemetryPipeline`; any other
-        combination returns a
-        :class:`~repro.service.sharded.ShardedPipeline` partitioning the
-        flush stream over ``shards`` aggregator shards, folded inline
+        Returns a :class:`~repro.service.sharded.ShardedPipeline`;
+        ``shards`` and ``backend`` only pick its layout.  The defaults
+        fold one shard inline; otherwise the flush stream is partitioned
+        over ``shards`` aggregator shards, folded inline
         (``backend="serial"``) or on ``fold_workers`` spawn-safe worker
         processes (``backend="process"``).  This ``backend`` is the
         *fold executor* — the shuffle backend (plain/sequential/peos)
@@ -319,9 +307,8 @@ class ShuffleSession:
         (budget ledger, flush log, epoch snapshots): ``None`` keeps the
         zero-overhead in-memory default; a
         :class:`~repro.persistence.sqlite.SqliteStateStore` makes the
-        run crash-safe and resumable via ``TelemetryPipeline.resume`` /
-        ``ShardedPipeline.resume`` (CLI: ``repro stream --state-db
-        PATH --resume``).
+        run crash-safe and resumable via ``ShardedPipeline.resume``
+        (CLI: ``repro stream --state-db PATH --resume``).
 
         Kernel tuning (pure execution knobs — estimates are
         bit-identical at any setting): ``chunk_bytes`` pins the
@@ -334,8 +321,8 @@ class ShuffleSession:
         receive payloads — zero-copy ``"shm"`` (the default) or legacy
         ``"pickle"`` (CLI: ``--no-shm``).
 
-        Fault tolerance (sharded process folding only; ignored by the
-        single-shard serial pipeline, whose folds run inline):
+        Fault tolerance (process folding only; inline serial folds
+        have no worker to supervise):
         ``fold_timeout`` bounds one fold's wall time before it is
         treated as hung, ``fold_retries`` caps consecutive retries of a
         failed fold before the transport degrades one rung
@@ -345,7 +332,7 @@ class ShuffleSession:
         entropy.
         """
         from ..service.backends import make_backend
-        from ..service.pipeline import StreamConfig, TelemetryPipeline
+        from ..service.pipeline import StreamConfig
         from ..service.sharded import FOLD_BACKENDS, ShardedPipeline
 
         if shards < 1:
@@ -448,12 +435,6 @@ class ShuffleSession:
             backend_instance = make_backend(
                 self.deployment.backend, r=self.deployment.r,
                 crypto_rng=crypto_rng,
-            )
-        if shards == 1 and backend == "serial":
-            return TelemetryPipeline(
-                config, _resolve_rng(rng, seed), backend=backend_instance,
-                store=store, chunk_bytes=chunk_bytes,
-                seed_cache_bytes=seed_cache_bytes,
             )
         return ShardedPipeline(
             config,

@@ -326,33 +326,27 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         else:
             print("  (no flush was admitted)")
 
-        # Transport / cache telemetry, so operators see PR-7 behavior
-        # without running benches. Serial pipelines have neither method.
-        transport_stats = getattr(pipeline, "transport_stats", None)
-        if transport_stats is not None:
-            stats = transport_stats()
-            print(f"\ntransport ({stats['transport']}): "
-                  f"{stats['bytes_moved']:,} payload bytes moved, "
-                  f"shm peak {stats['shm_peak_bytes']:,} bytes")
-        seed_cache_stats = getattr(pipeline, "seed_cache_stats", None)
-        if seed_cache_stats is not None:
-            stats = seed_cache_stats()
-            if stats["lookups"]:
-                print(f"seed cache: {stats['hits']:,}/{stats['lookups']:,} "
-                      f"row hits ({stats['hit_rate']:.1%})")
-        fault_stats = getattr(pipeline, "fault_stats", None)
-        if fault_stats is not None:
-            stats = fault_stats()
-            if any(stats[k] for k in ("fold_retries", "fold_timeouts",
-                                      "worker_deaths", "pool_rebuilds",
-                                      "degradations")):
-                print(f"faults absorbed: {stats['fold_retries']} retried "
-                      f"fold(s), {stats['fold_timeouts']} timeout(s), "
-                      f"{stats['worker_deaths']} worker death(s), "
-                      f"{stats['pool_rebuilds']} pool rebuild(s)")
-                for hop in stats["degradations"]:
-                    print(f"  transport degraded {hop['from']} -> "
-                          f"{hop['to']}: {hop['reason']}")
+        # Transport / cache / fault telemetry, so operators see how the
+        # folds ran without running benches.
+        stats = pipeline.transport_stats()
+        print(f"\ntransport ({stats['transport']}): "
+              f"{stats['bytes_moved']:,} payload bytes moved, "
+              f"shm peak {stats['shm_peak_bytes']:,} bytes")
+        stats = pipeline.seed_cache_stats()
+        if stats["lookups"]:
+            print(f"seed cache: {stats['hits']:,}/{stats['lookups']:,} "
+                  f"row hits ({stats['hit_rate']:.1%})")
+        stats = pipeline.fault_stats()
+        if any(stats[k] for k in ("fold_retries", "fold_timeouts",
+                                  "worker_deaths", "pool_rebuilds",
+                                  "degradations")):
+            print(f"faults absorbed: {stats['fold_retries']} retried "
+                  f"fold(s), {stats['fold_timeouts']} timeout(s), "
+                  f"{stats['worker_deaths']} worker death(s), "
+                  f"{stats['pool_rebuilds']} pool rebuild(s)")
+            for hop in stats["degradations"]:
+                print(f"  transport degraded {hop['from']} -> "
+                      f"{hop['to']}: {hop['reason']}")
 
         if args.estimates_out:
             payload = {
@@ -368,10 +362,9 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                 json.dump(payload, sink, indent=2)
                 sink.write("\n")
     finally:
-        # A sharded pipeline may hold a process pool; never leak it.
-        close = getattr(pipeline, "close", None)
-        if close is not None:
-            close()
+        # The pipeline may hold a process pool and shm; never leak them.
+        if pipeline is not None:
+            pipeline.close()
         if store is not None:
             store.close()
     return 0
@@ -493,25 +486,19 @@ def _resume_stream_pipeline(args: argparse.Namespace, store):
     reuses the calibration persisted in the store when one exists.
     """
     from repro.hashing.calibrate import resolve_chunk_bytes
-    from repro.service import ShardedPipeline, TelemetryPipeline
+    from repro.service import ShardedPipeline
 
-    chunk_bytes = resolve_chunk_bytes(args.chunk_bytes, store=store)
-    seed_cache_bytes = args.seed_cache_bytes or 0
-    if args.shards > 1 or args.fold_backend != "serial":
-        return ShardedPipeline.resume(
-            store,
-            n_shards=args.shards,
-            fold_backend=args.fold_backend,
-            workers=args.fold_workers,
-            transport="pickle" if args.no_shm else "shm",
-            chunk_bytes=chunk_bytes,
-            seed_cache_bytes=seed_cache_bytes,
-            fold_timeout=args.fold_timeout,
-            max_fold_retries=args.fold_retries,
-            degrade=not args.no_degrade,
-        )
-    return TelemetryPipeline.resume(
-        store, chunk_bytes=chunk_bytes, seed_cache_bytes=seed_cache_bytes
+    return ShardedPipeline.resume(
+        store,
+        n_shards=args.shards,
+        fold_backend=args.fold_backend,
+        workers=args.fold_workers,
+        transport="pickle" if args.no_shm else "shm",
+        chunk_bytes=resolve_chunk_bytes(args.chunk_bytes, store=store),
+        seed_cache_bytes=args.seed_cache_bytes or 0,
+        fold_timeout=args.fold_timeout,
+        max_fold_retries=args.fold_retries,
+        degrade=not args.no_degrade,
     )
 
 

@@ -1,12 +1,12 @@
 """Durable state for the streaming service: pluggable ``StateStore``.
 
-The streaming pipelines journal every privacy-relevant state change —
+The streaming pipeline journals every privacy-relevant state change —
 budget charges, the flush log keyed by the global flush sequence, the
 buffered remainder, epoch reports with estimate snapshots — through a
 :class:`StateStore`.  :class:`MemoryStateStore` (the default) keeps it
 in process memory at zero overhead; :class:`SqliteStateStore` makes it
-crash-safe on one SQLite file, from which ``TelemetryPipeline.resume``
-/ ``ShardedPipeline.resume`` rebuild a run that never double-spends,
+crash-safe on one SQLite file, from which ``ShardedPipeline.resume``
+rebuilds a run — under any shard layout — that never double-spends,
 never re-releases, and continues bit-identical to an uninterrupted run
 at the same seed.
 """

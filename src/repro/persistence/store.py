@@ -20,13 +20,14 @@ order the write-ahead protocol produces them:
 so the ingest generator state on disk never lags the reports it has
 already consumed.
 
-Recovery reads everything back with ``load_run``; the pipelines'
-``resume`` classmethods do the rest (see ``repro.service.pipeline``).
+Recovery reads everything back with ``load_run``; the pipeline's
+``resume`` classmethod does the rest (see ``repro.service.sharded``).
 
 ``MemoryStateStore`` is the default wired into every pipeline: it keeps
 references in process memory (no serialization, no copies on the hot
-path) purely so both pipelines speak one protocol, and doubles as the
-reference implementation the SQLite backend is tested against.
+path) purely so durable and in-memory runs speak one protocol, and
+doubles as the reference implementation the SQLite backend is tested
+against.
 """
 
 from __future__ import annotations

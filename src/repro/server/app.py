@@ -1,8 +1,8 @@
 """The async HTTP front door over a streaming pipeline.
 
 :class:`TelemetryServer` turns a :class:`~repro.service.sharded.
-ShardedPipeline` (or the serial :class:`~repro.service.pipeline.
-TelemetryPipeline`) into a network service:
+ShardedPipeline`, in whatever shard layout it was built with, into a
+network service:
 
 * ``POST /api/reports`` — one JSON batch of raw values
   (``{"values": [3, 0, 7, ...]}``), validated against the deployment's
@@ -293,13 +293,9 @@ class TelemetryServer:
         if pipeline is None:
             return
         try:
-            close = getattr(pipeline, "close", None)
-            if close is not None:
-                close()
+            pipeline.close()
         finally:
-            store = getattr(pipeline, "store", None)
-            if store is not None:
-                store.close()
+            pipeline.store.close()
 
     async def __aenter__(self) -> "TelemetryServer":
         return await self.start()
@@ -402,21 +398,17 @@ class TelemetryServer:
         broken, self.pipeline = self.pipeline, None
         if broken is not None:
             try:
-                close = getattr(broken, "close", None)
-                if close is not None:
-                    close()
+                broken.close()
             except Exception as close_failure:
                 self.recovery_close_errors.append(
                     f"broken pipeline close failed: {close_failure!r}"
                 )
-            store = getattr(broken, "store", None)
-            if store is not None:
-                try:
-                    store.close()
-                except Exception as close_failure:
-                    self.recovery_close_errors.append(
-                        f"broken store close failed: {close_failure!r}"
-                    )
+            try:
+                broken.store.close()
+            except Exception as close_failure:
+                self.recovery_close_errors.append(
+                    f"broken store close failed: {close_failure!r}"
+                )
         return self._recover_factory()
 
     def _epoch_rows(self) -> List[Tuple[int, list]]:
@@ -573,7 +565,13 @@ class TelemetryServer:
                 f"must be a non-empty JSON array of integers in [0, {d})",
                 field="values",
             )
-        array = np.asarray(values)
+        try:
+            array = np.asarray(values)
+        except ValueError:
+            # Ragged rows ([1, [2]]) or nesting past numpy's dimension cap.
+            raise HttpError(
+                400, f"must be integers in [0, {d})", field="values"
+            ) from None
         if array.ndim != 1 or array.dtype.kind not in "iu":
             raise HttpError(
                 400, f"must be integers in [0, {d})", field="values"

@@ -118,6 +118,12 @@ class Request:
             raise HttpError(
                 400, "body must be a JSON object", field="body"
             ) from None
+        except RecursionError:
+            # Nesting deep enough to exhaust the decoder's stack is hostile
+            # input, not a server fault.
+            raise HttpError(
+                400, "body nests too deeply to decode", field="body"
+            ) from None
         if not isinstance(payload, dict):
             raise HttpError(
                 400, "body must be a JSON object", field="body"

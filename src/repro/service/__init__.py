@@ -11,32 +11,34 @@ estimates that match a one-shot run bit for bit.
 * :mod:`repro.service.accountant` — composition-based budget ledger.
 * :mod:`repro.service.aggregator` — incremental support counts + Eq. (6).
 * :mod:`repro.service.backends` — plain / SS / PEOS release paths.
-* :mod:`repro.service.pipeline` — the orchestrator and its metrics.
-* :mod:`repro.service.sharded` — multi-shard (optionally multi-process)
-  folding behind the same interface, bit-identical at any shard count.
+* :mod:`repro.service.pipeline` — deployment config, per-release
+  pricing, release streams, and the run's metrics records.
+* :mod:`repro.service.sharded` — :class:`ShardedPipeline`, the one
+  pipeline class: a single inline-folded shard by default, any number
+  of shards folded inline or on worker processes on request, with
+  bit-identical estimates at every layout.  ``TelemetryPipeline`` is
+  the same class under its older name.
 
-Both pipelines journal budget charges, the flush log, and epoch
+The pipeline journals budget charges, the flush log, and epoch
 snapshots through a pluggable :mod:`repro.persistence` ``StateStore``
 (in-memory by default; SQLite for crash-safe runs that resume via
-``TelemetryPipeline.resume(store)`` / ``ShardedPipeline.resume(store)``).
+``ShardedPipeline.resume(store)``).
 
 Quick start::
 
     import numpy as np
-    from repro.service import StreamConfig, TelemetryPipeline
+    from repro.service import ShardedPipeline, StreamConfig
 
     rng = np.random.default_rng(0)
     config = StreamConfig.from_targets(d=64, flush_size=1000)
-    pipeline = TelemetryPipeline(config, rng)
+    pipeline = ShardedPipeline(config, rng)
     for epoch_values in value_stream:          # one array per epoch
         pipeline.submit(epoch_values)
         print(pipeline.end_epoch())
     print(pipeline.estimates())
 
 To spread the fold work over several processes (same estimates, bit for
-bit), swap in the sharded pipeline::
-
-    from repro.service import ShardedPipeline
+bit), pick a layout::
 
     with ShardedPipeline(config, np.random.default_rng(0), n_shards=4,
                          fold_backend="process") as pipeline:
@@ -62,7 +64,6 @@ from .pipeline import (
     FlushRejection,
     StreamConfig,
     StreamResult,
-    TelemetryPipeline,
     check_replay_support,
     epoch_release_epsilon,
     flush_release_epsilon,
@@ -71,7 +72,12 @@ from .pipeline import (
     oracle_from_plan,
     release_entropy,
 )
-from .sharded import FOLD_BACKENDS, TRANSPORTS, ShardedPipeline
+from .sharded import (
+    FOLD_BACKENDS,
+    TRANSPORTS,
+    ShardedPipeline,
+    TelemetryPipeline,
+)
 from .shm import SegmentLease, SharedMemoryPool, attach_segment
 
 __all__ = [

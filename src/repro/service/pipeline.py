@@ -1,46 +1,31 @@
-"""The streaming telemetry pipeline: batcher -> buffer -> backend -> analyzer.
+"""Deployment configuration, pricing, and release streams of the pipeline.
 
-:class:`TelemetryPipeline` wires the service together around a Section
-VI-D plan (:func:`repro.core.params.plan_peos`):
+The pipeline itself is :class:`~repro.service.sharded.ShardedPipeline`
+(also exported as ``TelemetryPipeline``); this module holds what it is
+built from and what it reports:
 
-1. clients arrive in vectorized batches; :meth:`TelemetryPipeline.submit`
-   privatizes and ordinal-encodes them in one numpy pass and hands the
-   encoded reports to the :class:`~repro.service.buffer.ReportBuffer`;
-2. every size- or epoch-triggered flush is first priced at the plan's
-   per-release guarantee ``(eps_server, delta)`` against the
-   :class:`~repro.service.accountant.PrivacyAccountant` — a refused flush
-   is *dropped*, never released;
-3. admitted flushes go through the configured
-   :class:`~repro.service.backends.ShuffleBackend` (fake injection +
-   shuffle) and the released multiset is folded into the
-   :class:`~repro.service.aggregator.IncrementalAggregator`;
-4. :meth:`TelemetryPipeline.end_epoch` drains the buffer and emits an
-   :class:`EpochReport` with the epoch's operational metrics
-   (reports/sec, flush latency, cumulative budget spend).
+* :class:`StreamConfig` — one deployment's static parameters around a
+  Section VI-D plan (:func:`repro.core.params.plan_peos`), validated up
+  front, with :meth:`StreamConfig.from_targets` /
+  :meth:`StreamConfig.for_epochs` sizing the lifetime budget;
+* :func:`flush_release_epsilon` / :func:`epoch_release_epsilon` — the
+  Corollary 8/9 price of one release at its own size;
+* :class:`EpochReport`, :class:`FlushRejection`, :class:`StreamResult` —
+  the run's operational metrics and final state;
+* :func:`release_entropy` / :func:`flush_rng` — the per-flush release
+  streams;
+* :func:`oracle_from_plan` and :func:`check_replay_support`.
 
-Estimates are available at any time via :meth:`TelemetryPipeline.estimates`
-and are bit-identical to a one-shot run over the same released reports.
-
-Randomness discipline (the sharding determinism contract): the pipeline
-consumes its generator for *ingestion only* (privatizing submissions, in
-arrival order).  Release-side randomness — fake-report draws and the
-shuffle permutation — comes from an independent per-flush stream derived
-via :func:`release_entropy` / :func:`flush_rng` and keyed by the flush's
-global sequence number.  Because a flush's noise depends only on the
-deployment seed and its own sequence number — never on which thread,
-process, or shard releases it — :class:`~repro.service.sharded.
-ShardedPipeline` reproduces this pipeline's estimates bit for bit at any
-shard or worker count.  (This changed the sampled noise at a fixed seed
-relative to the pre-sharding pipeline, which interleaved ingest and
-release draws on one stream; same documented trade as the sweep engine's
-per-trial seeding, see DESIGN.md.)
+The release streams are what make estimates layout-invariant: a flush's
+fakes and permutation depend only on the deployment seed and the flush's
+global sequence number, never on which thread, process, or shard
+releases it (the determinism contract in :mod:`repro.service.sharded`).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -60,20 +45,7 @@ from ..core.peos_analysis import (
 )
 from ..core.registry import UnknownMechanismError, get_spec
 from ..frequency_oracles.base import FrequencyOracle
-from ..persistence import (
-    FlushRecord,
-    IngestCheckpoint,
-    MemoryStateStore,
-    RunSnapshot,
-    StateStore,
-    StateStoreError,
-    StoredFlush,
-)
-from ..persistence.records import generator_from_state
-from .accountant import BudgetExceededError, PrivacyAccountant
-from .aggregator import IncrementalAggregator
-from .backends import BACKEND_NAMES, ShuffleBackend, make_backend
-from .buffer import FlushBatch, ReportBuffer
+from .backends import BACKEND_NAMES
 
 #: detailed FlushRejection records kept per pipeline; further refusals only
 #: increment the counter so an exhausted long-running service stays O(1)
@@ -344,9 +316,8 @@ def release_entropy(rng: np.random.Generator) -> tuple:
     """Derive the deployment's release-stream root entropy from ``rng``.
 
     Called exactly once, immediately after a pipeline binds its ingest
-    generator and before any other draw — both :class:`TelemetryPipeline`
-    and :class:`~repro.service.sharded.ShardedPipeline` follow this order,
-    which is what makes their streams line up at a fixed seed.
+    generator and before any other draw, so the ingest stream that
+    follows is the same at every execution layout.
     """
     return tuple(int(word) for word in rng.integers(0, 1 << 32, size=8))
 
@@ -356,8 +327,8 @@ def flush_rng(entropy: tuple, sequence: int) -> np.random.Generator:
 
     Children are keyed by ``spawn_key`` (equivalent to
     ``SeedSequence(entropy).spawn(...)`` but order-independent), so any
-    execution layout — the serial pipeline, a sharded fold, a process
-    pool, even out-of-order collection — draws identical fake-report and
+    execution layout — an inline fold, a sharded fold, a process pool,
+    even out-of-order collection — draws identical fake-report and
     shuffle randomness for the same flush.
     """
     return np.random.default_rng(
@@ -412,475 +383,4 @@ def check_replay_support(config: StreamConfig, fo: FrequencyOracle) -> None:
             "plan",
             "durable persistence requires the int64 ordinal fast path; "
             "this plan's report domain exceeds 64-bit arithmetic",
-        )
-
-
-class PipelinePersistenceMixin:
-    """The write-ahead persistence protocol and recovery walk.
-
-    Shared by :class:`TelemetryPipeline` and
-    :class:`~repro.service.sharded.ShardedPipeline`, which expose
-    identical state attributes (``store``, ``buffer``, ``accountant``,
-    ``rng``, rejection/span/epoch counters) and per-class
-    ``_charge_batch`` follow-ups: ``_release`` (how an admitted batch is
-    executed) and ``_fold_restored`` (where a recovered flush's counts
-    land).
-    """
-
-    def _checkpoint(self) -> IngestCheckpoint:
-        """The ingest-side mutable state, for the store to commit."""
-        return IngestCheckpoint(
-            rng_state=self.rng.bit_generator.state,
-            buffer_epoch=self.buffer.epoch,
-            next_sequence=self.buffer.next_sequence,
-            pending_chunks=self.buffer.pending_chunks(),
-            pending_count=self.buffer.pending,
-            n_submits=self._n_submits,
-        )
-
-    def _persist_and_release(self, batches: List[FlushBatch]) -> None:
-        """The write-ahead protocol step for one submission.
-
-        Every carved batch is priced first; all verdicts (charges and
-        rejections) plus the post-submit ingest checkpoint commit in one
-        store transaction *before* any release happens.  Only then are
-        the admitted batches released, each committing its counts as it
-        folds.  A crash between the two commits leaves 'charged' rows a
-        resume replays deterministically — the spend is never lost.
-        """
-        if not batches:
-            self.store.record_ingest(self._checkpoint())
-            return
-        records = [self._charge_batch(batch) for batch in batches]
-        self.store.record_flushes(records, self._checkpoint())
-        for batch, record in zip(batches, records):
-            if record.admitted:
-                self._release(batch)
-
-    def _charge_batch(self, batch: FlushBatch) -> FlushRecord:
-        """Price one batch against the ledger; never releases."""
-        plan = self.config.plan
-        self._epoch_flushes += 1
-        span = (self._consumed, self._consumed + batch.n_reports)
-        self._consumed = span[1]
-        # Price the batch at its own size: an epoch-end remainder carries
-        # less genuine blanket than a full flush, so it costs more.
-        price = flush_release_epsilon(
-            self.config.d, plan, batch.n_reports, batch.n_fake
-        )
-        try:
-            charge = self.accountant.charge(
-                price,
-                plan.delta,
-                label=f"epoch{batch.epoch}/flush{batch.sequence}",
-            )
-        except BudgetExceededError as refusal:
-            self._epoch_rejected += 1
-            self.n_rejected += 1
-            if len(self.rejections) < MAX_REJECTION_RECORDS:
-                self.rejections.append(
-                    FlushRejection(
-                        epoch=batch.epoch,
-                        sequence=batch.sequence,
-                        n_reports=batch.n_reports,
-                        reason=str(refusal),
-                    )
-                )
-            return FlushRecord(
-                sequence=batch.sequence,
-                epoch=batch.epoch,
-                trigger=batch.trigger,
-                n_reports=batch.n_reports,
-                n_fake=batch.n_fake,
-                reports=batch.reports,
-                charge_eps=None,
-                charge_delta=None,
-                charge_label=None,
-                reject_reason=str(refusal),
-            )
-        self._epoch_reports_released += batch.n_reports
-        self._epoch_fakes += batch.n_fake
-        self.released_spans.append(span)
-        return FlushRecord(
-            sequence=batch.sequence,
-            epoch=batch.epoch,
-            trigger=batch.trigger,
-            n_reports=batch.n_reports,
-            n_fake=batch.n_fake,
-            reports=batch.reports,
-            charge_eps=charge.eps,
-            charge_delta=charge.delta,
-            charge_label=charge.label,
-            reject_reason=None,
-        )
-
-    # -- recovery ----------------------------------------------------------
-
-    def _restore(self, snapshot: RunSnapshot) -> None:
-        """Rebuild mutable state from a snapshot; replay pending flushes."""
-        check_replay_support(self.config, self.fo)
-        self.accountant.restore(snapshot.charges)
-        self.buffer.restore_state(
-            snapshot.buffer_epoch, snapshot.next_sequence, snapshot.remainder
-        )
-        self._n_submits = snapshot.n_submits
-        self.epoch_reports = list(snapshot.epoch_reports)
-        offset = 0
-        for flush in snapshot.flushes:
-            span = (offset, offset + flush.n_reports)
-            offset = span[1]
-            if flush.status == "rejected":
-                self.n_rejected += 1
-                if len(self.rejections) < MAX_REJECTION_RECORDS:
-                    self.rejections.append(
-                        FlushRejection(
-                            epoch=flush.epoch,
-                            sequence=flush.sequence,
-                            n_reports=flush.n_reports,
-                            reason=flush.reject_reason or "rejected",
-                        )
-                    )
-                continue
-            self.released_spans.append(span)
-            if flush.status == "released":
-                # Never re-release: fold the committed counts as-is.
-                self._fold_restored(flush, flush.counts)
-            else:
-                self._replay_release(flush)
-        self._consumed = offset
-        if len(self.epoch_reports) < self.buffer.epoch:
-            self._synthesize_epoch(snapshot)
-        # Partial counters of the epoch that was open at the crash; its
-        # release latency is lost with the process (metrics only — the
-        # determinism contract covers estimates and spend, not timings).
-        current = [
-            flush for flush in snapshot.flushes
-            if flush.epoch == self.buffer.epoch
-        ]
-        released = [f for f in current if f.status != "rejected"]
-        self._epoch_flushes = len(current)
-        self._epoch_rejected = len(current) - len(released)
-        self._epoch_reports_released = sum(f.n_reports for f in released)
-        self._epoch_fakes = sum(f.n_fake for f in released)
-        self._epoch_latency = 0.0
-
-    def _fold_restored(self, flush: StoredFlush, counts: np.ndarray) -> None:
-        """Where a recovered flush's counts land (shards override this)."""
-        self.aggregator.fold_counts(counts, flush.n_reports, flush.n_fake)
-
-    def _replay_release(self, flush: StoredFlush) -> None:
-        """Deterministically redo a charged-but-unreleased flush.
-
-        The release stream is keyed by the flush's persisted sequence
-        number, so the fakes and permutation — hence the folded counts —
-        are bit-identical to what the crashed process would have
-        produced.  The charge is already on the restored ledger; nothing
-        is charged again.
-        """
-        rng = flush_rng(self.release_entropy, flush.sequence)
-        shuffled = self.backend.shuffle(
-            flush.reports, flush.n_fake, self.fo, rng
-        )
-        decoded = self.fo.decode_reports(shuffled)
-        counts = self.fo.support_counts(decoded)
-        self._fold_restored(flush, counts)
-        self.store.record_release(flush.sequence, counts)
-
-    def _synthesize_epoch(self, snapshot: RunSnapshot) -> None:
-        """Close the epoch whose flushes committed but whose report didn't.
-
-        Only the crash epoch can be in flight: an epoch's report commits
-        before any later submission, so a gap deeper than one record
-        means the store was tampered with.
-        """
-        missing = self.buffer.epoch - len(self.epoch_reports)
-        if missing != 1:
-            raise StateStoreError(
-                f"snapshot is missing {missing} epoch records; only the "
-                f"epoch in flight at the crash can lack one"
-            )
-        epoch = self.buffer.epoch - 1
-        rows = [f for f in snapshot.flushes if f.epoch == epoch]
-        released = [f for f in rows if f.status != "rejected"]
-        eps_spent, delta_spent = self.accountant.spent()
-        report = EpochReport(
-            epoch=epoch,
-            n_flushes=len(rows),
-            n_rejected=len(rows) - len(released),
-            n_reports=sum(f.n_reports for f in released),
-            n_fake=sum(f.n_fake for f in released),
-            flush_latency_s=0.0,
-            reports_per_sec=0.0,
-            eps_spent=eps_spent,
-            delta_spent=delta_spent,
-        )
-        self.epoch_reports.append(report)
-        self.store.record_epoch(report, self.estimates(), self._checkpoint())
-
-    @property
-    def n_submits(self) -> int:
-        """Non-empty submissions applied — a feeder's resume cursor."""
-        return self._n_submits
-
-    @property
-    def epochs_completed(self) -> int:
-        """Epochs closed so far (resume-synthesized ones included)."""
-        return len(self.epoch_reports)
-
-
-class TelemetryPipeline(PipelinePersistenceMixin):
-    """Continuously running shuffle-DP collection for one deployment.
-
-    All privacy-relevant state changes are journaled through a
-    :class:`~repro.persistence.store.StateStore` under a write-ahead
-    protocol: a flush's budget charge (or rejection) commits *before*
-    its release, the folded counts commit after, and every closed epoch
-    commits its report plus an estimate snapshot.  With the default
-    :class:`~repro.persistence.store.MemoryStateStore` this costs a few
-    reference assignments per submit; with a
-    :class:`~repro.persistence.sqlite.SqliteStateStore` the run survives
-    a crash and :meth:`resume` rebuilds it — never double-spending a
-    charge, never re-releasing a flushed batch, and continuing
-    bit-identical to an uninterrupted run at the same seed (pending
-    releases are replayed from their persisted reports and sequence-keyed
-    RNG streams).
-    """
-
-    def __init__(
-        self,
-        config: StreamConfig,
-        rng: np.random.Generator,
-        backend: Optional[ShuffleBackend] = None,
-        clock: Callable[[], float] = time.perf_counter,
-        store: Optional[StateStore] = None,
-        chunk_bytes: Optional[int] = None,
-        seed_cache_bytes: int = 0,
-        _snapshot: Optional[RunSnapshot] = None,
-    ):
-        # Kernel tuning is execution layout, not deployment identity:
-        # deliberately constructor kwargs rather than StreamConfig fields,
-        # so persisted runs carry no tuning and resume may retune freely.
-        if chunk_bytes is not None and int(chunk_bytes) < 1:
-            raise ConfigError(
-                "chunk_bytes", f"must be >= 1, got {chunk_bytes}"
-            )
-        if int(seed_cache_bytes) < 0:
-            raise ConfigError(
-                "seed_cache_bytes", f"must be >= 0, got {seed_cache_bytes}"
-            )
-        self.config = config
-        self.rng = rng
-        self.clock = clock
-        if _snapshot is None:
-            # Drawn first, before any other use of rng (see release_entropy).
-            self.release_entropy = release_entropy(rng)
-        else:
-            # Resume: rng already carries the checkpointed state; the
-            # entropy was drawn by the original run and persisted.
-            self.release_entropy = tuple(
-                int(word) for word in _snapshot.release_entropy
-            )
-        self.fo = oracle_from_plan(config.d, config.plan)
-        self.fo.configure_kernel(
-            chunk_bytes=chunk_bytes, seed_cache_bytes=seed_cache_bytes
-        )
-        self.store = store if store is not None else MemoryStateStore()
-        if self.store.durable:
-            check_replay_support(config, self.fo)
-        self.buffer = ReportBuffer.from_plan(
-            config.plan,
-            config.flush_size,
-            flush_empty=config.flush_empty,
-            codec=self.fo.ordinal_codec,
-        )
-        self.accountant = PrivacyAccountant(
-            config.eps_budget, config.delta_budget, method=config.composition
-        )
-        self.aggregator = IncrementalAggregator(self.fo)
-        self.backend = backend if backend is not None else make_backend(
-            config.backend, r=config.r
-        )
-        self.backend.prepare(self.fo, rng)
-        self.epoch_reports: List[EpochReport] = []
-        self.rejections: List[FlushRejection] = []
-        self.n_rejected = 0
-        self.released_batches: List[np.ndarray] = []
-        #: [start, stop) index ranges into the submitted-report order that
-        #: were actually released (rejected flushes leave gaps)
-        self.released_spans: List[tuple] = []
-        self._consumed = 0
-        self._n_submits = 0
-        self._epoch_flushes = 0
-        self._epoch_rejected = 0
-        self._epoch_reports_released = 0
-        self._epoch_fakes = 0
-        self._epoch_latency = 0.0
-        if _snapshot is None:
-            self.store.begin_run(config, self.release_entropy, self._checkpoint())
-        else:
-            self._restore(_snapshot)
-
-    @classmethod
-    def resume(
-        cls,
-        store: StateStore,
-        backend: Optional[ShuffleBackend] = None,
-        clock: Callable[[], float] = time.perf_counter,
-        chunk_bytes: Optional[int] = None,
-        seed_cache_bytes: int = 0,
-    ) -> "TelemetryPipeline":
-        """Rebuild the run persisted in ``store`` and continue it.
-
-        Recovery invariants (pinned by ``tests/persistence/``):
-
-        * **no double-spend** — the ledger is exactly the persisted
-          charges; replaying a pending flush never charges again;
-        * **no re-release** — a flush whose counts were committed is
-          folded from those counts, its release randomness is never
-          redrawn;
-        * **bit-identical continuation** — pending (charged, unreleased)
-        flushes are replayed from their persisted reports with the same
-        sequence-keyed RNG streams, and the restored ingest generator /
-        buffer remainder / flush counter make every subsequent draw
-        match an uninterrupted run at the same seed.
-        """
-        snapshot = store.load_run()
-        rng = generator_from_state(snapshot.rng_state)
-        return cls(
-            snapshot.config,
-            rng,
-            backend=backend,
-            clock=clock,
-            store=store,
-            chunk_bytes=chunk_bytes,
-            seed_cache_bytes=seed_cache_bytes,
-            _snapshot=snapshot,
-        )
-
-    # -- ingestion ---------------------------------------------------------
-
-    def submit(self, values) -> int:
-        """Privatize and buffer one client batch; process any size flushes.
-
-        Returns the number of flushes triggered (admitted or rejected).
-        """
-        values = np.asarray(values)
-        if len(values) == 0:
-            return 0
-        encoded = self.fo.encode_reports(self.fo.privatize(values, self.rng))
-        # owned=True: `encoded` is freshly allocated and never touched again.
-        batches = self.buffer.submit(encoded, owned=True)
-        self._n_submits += 1
-        self._persist_and_release(batches)
-        return len(batches)
-
-    def end_epoch(self) -> EpochReport:
-        """Drain the buffer, close the epoch, and report its metrics."""
-        batches = self.buffer.end_epoch()
-        if batches:
-            self._persist_and_release(batches)
-        eps_spent, delta_spent = self.accountant.spent()
-        report = EpochReport(
-            epoch=self.buffer.epoch - 1,
-            n_flushes=self._epoch_flushes,
-            n_rejected=self._epoch_rejected,
-            n_reports=self._epoch_reports_released,
-            n_fake=self._epoch_fakes,
-            flush_latency_s=self._epoch_latency,
-            reports_per_sec=(
-                self._epoch_reports_released / self._epoch_latency
-                if self._epoch_latency > 0.0
-                else 0.0
-            ),
-            eps_spent=eps_spent,
-            delta_spent=delta_spent,
-        )
-        self.epoch_reports.append(report)
-        self.store.record_epoch(report, self.estimates(), self._checkpoint())
-        self._epoch_flushes = 0
-        self._epoch_rejected = 0
-        self._epoch_reports_released = 0
-        self._epoch_fakes = 0
-        self._epoch_latency = 0.0
-        return report
-
-    def run(self, epoch_batches: Iterable) -> StreamResult:
-        """Feed one value batch per epoch and return the final result."""
-        for values in epoch_batches:
-            self.submit(values)
-            self.end_epoch()
-        return self.result()
-
-    # -- flush processing --------------------------------------------------
-
-    def _release(self, batch: FlushBatch) -> None:
-        """Release one admitted batch and commit its folded counts."""
-        started = self.clock()
-        shuffled = self.backend.shuffle(
-            batch.reports, batch.n_fake, self.fo,
-            flush_rng(self.release_entropy, batch.sequence),
-        )
-        decoded = self.fo.decode_reports(shuffled)
-        if len(decoded) != batch.n_reports + batch.n_fake:
-            raise ValueError(
-                f"batch has {len(decoded)} reports but claims "
-                f"{batch.n_reports} genuine + {batch.n_fake} fake"
-            )
-        counts = self.fo.support_counts(decoded)
-        self.aggregator.fold_counts(counts, batch.n_reports, batch.n_fake)
-        self._epoch_latency += self.clock() - started
-        if self.config.keep_reports:
-            self.released_batches.append(decoded)
-        self.store.record_release(batch.sequence, counts)
-
-    # -- results -----------------------------------------------------------
-
-    @property
-    def exhausted(self) -> bool:
-        """True once no positive charge can ever be admitted again.
-
-        A long-running feeder should consult this and stop submitting:
-        the pipeline keeps pricing and refusing flushes either way (so
-        refusals stay visible in the epoch metrics), but past this point
-        every privatize pass is wasted work.
-        """
-        return self.accountant.remaining_eps() <= 0.0
-
-    def estimates(self) -> np.ndarray:
-        """Current calibrated frequency estimates (Eq. (6))."""
-        return self.aggregator.estimates()
-
-    def released_values(self, submitted_values: np.ndarray) -> np.ndarray:
-        """The subset of ``submitted_values`` that was actually released.
-
-        ``submitted_values`` must be every value fed to :meth:`submit`, in
-        order; rejected flushes leave gaps, which this selects around via
-        ``released_spans``.  Demo/metric helper — a real deployment never
-        holds raw values server-side.
-        """
-        submitted_values = np.asarray(submitted_values)
-        if len(submitted_values) < self._consumed:
-            raise ValueError(
-                f"expected at least {self._consumed} submitted values, "
-                f"got {len(submitted_values)}"
-            )
-        if not self.released_spans:
-            # Owned empty result, not a zero-length view that would pin
-            # the caller's buffer alive (RPL010).
-            return submitted_values[:0].copy()
-        return np.concatenate(
-            [submitted_values[start:stop] for start, stop in self.released_spans]
-        )
-
-    def result(self) -> StreamResult:
-        eps_spent, delta_spent = self.accountant.spent()
-        return StreamResult(
-            estimates=self.estimates(),
-            epochs=list(self.epoch_reports),
-            n_genuine=self.aggregator.n_genuine,
-            n_fake=self.aggregator.n_fake,
-            eps_spent=eps_spent,
-            delta_spent=delta_spent,
-            n_rejected=self.n_rejected,
-            rejections=list(self.rejections),
         )

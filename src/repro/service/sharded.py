@@ -1,21 +1,37 @@
-"""Sharded streaming: many fold shards, one carver, one accountant.
+"""The streaming pipeline: batcher -> buffer -> backend -> analyzer.
 
-The paper's deployment story is many shufflers feeding one analyzer.
-:class:`ShardedPipeline` realizes it: client submissions are privatized
-and carved into flush batches exactly like the single-shard
-:class:`~repro.service.pipeline.TelemetryPipeline`, but the expensive
-release work — fake injection, shuffling, decoding, support counting —
-fans out across ``n_shards`` independent
-:class:`~repro.service.aggregator.IncrementalAggregator` shards, folded
-either inline (``fold_backend="serial"``) or on a spawn-safe
-``ProcessPoolExecutor`` (``fold_backend="process"``), which overlaps the
-per-flush shuffle/decode/count work — the support-count kernel
-(:func:`repro.hashing.kernels.support_counts_kernel`) is vectorized
-numpy for every family, and process folding runs those kernels on
-multiple cores at once.
+:class:`ShardedPipeline` is the service's one pipeline class.  It wires
+a Section VI-D plan (:func:`repro.core.params.plan_peos`) into a
+continuously running collection:
 
-Determinism contract (bit-identical estimates at any shard/worker count,
-and to ``TelemetryPipeline`` at the same seed):
+1. clients arrive in vectorized batches; :meth:`~ShardedPipeline.submit`
+   privatizes and ordinal-encodes them in one numpy pass and hands the
+   encoded reports to the :class:`~repro.service.buffer.ReportBuffer`;
+2. every size- or epoch-triggered flush is first priced at its own
+   guarantee against the
+   :class:`~repro.service.accountant.PrivacyAccountant` — a refused
+   flush is *dropped*, never released;
+3. each admitted flush is released by :func:`release_counts` (fake
+   injection and shuffle through the configured
+   :class:`~repro.service.backends.ShuffleBackend`, decode, support
+   count) and its counts fold into one of ``n_shards``
+   :class:`~repro.service.aggregator.IncrementalAggregator` shards;
+4. :meth:`~ShardedPipeline.end_epoch` drains the buffer and emits an
+   :class:`~repro.service.pipeline.EpochReport` with the epoch's
+   operational metrics (reports/sec, flush latency, cumulative spend).
+
+The default layout — one shard, folded inline (``fold_backend=
+"serial"``) — is the paper's single analyzer: it sums the additive
+support counts of every shuffled release and recalibrates once for the
+fake reports (Eq. (6)).  Every other layout only regroups that sum.
+``n_shards`` partitions the flush stream, and ``fold_backend="process"``
+runs the release work on a spawn-safe ``ProcessPoolExecutor`` so the
+vectorized support-count kernels
+(:func:`repro.hashing.kernels.support_counts_kernel`) of several
+flushes run on several cores at once.
+
+Determinism contract (bit-identical estimates at any shard count, fold
+backend, worker count or transport, at a fixed seed):
 
 * **Carving is global.**  One :class:`~repro.service.buffer.ReportBuffer`
   carves the stream, so flush boundaries — and therefore batch sizes,
@@ -24,40 +40,37 @@ and to ``TelemetryPipeline`` at the same seed):
   flush schedule, the total fake count, and the spend would all vary
   with the shard count.)  Batch ``sequence % n_shards`` picks the shard,
   a deterministic round-robin partition of the flush stream.
-* **Release randomness is per-flush.**  Every flush draws from
+* **Release randomness is per-flush.**  The ingest generator is consumed
+  for privatizing submissions only, in arrival order.  Every flush draws
+  its fakes and permutation from
   :func:`~repro.service.pipeline.flush_rng`, keyed by the deployment's
   :func:`~repro.service.pipeline.release_entropy` and the flush's global
   sequence number — never from a stream another worker also consumes.
-* **The accountant is singular.**  One shared
+* **The accountant is singular.**  One
   :class:`~repro.service.accountant.PrivacyAccountant` is charged in
   global carve order, *before* a batch is handed to any shard: the
-  privacy ledger is a property of the deployment, not of a shard, and
-  admitting a flush must not race another shard's charge.
+  privacy ledger is a property of the deployment, not of a shard.
 * **Merging is exact.**  Support counts are integer-valued, so per-shard
   float sums and the final
   :meth:`~repro.service.aggregator.IncrementalAggregator.merge` are
   exact below ``2**53`` reports — grouping by shard cannot change a bit.
 
-Shard traffic is **zero-copy by default** (``transport="shm"``): the
-parent writes each admitted batch's encoded reports into a pooled
+Process-fold traffic is **zero-copy by default** (``transport="shm"``):
+the parent writes each admitted batch's encoded reports into a pooled
 ``multiprocessing.shared_memory`` segment
 (:class:`~repro.service.shm.SharedMemoryPool`) and ships only the
-segment name; the worker maps the segment, folds straight out of a
-read-only view, and the parent returns the lease to the pool when
-:meth:`~ShardedPipeline.drain` collects the counts.  Because
-:class:`~repro.service.buffer.FlushBatch` already owns its memory
-(``reports.base is None``), that pool write is the *only* copy a flush
-pays between carving and the worker's fold — no pickle serialization,
-no pipe traversal.  ``transport="pickle"`` keeps the legacy
-pickle-over-pipe path (bit-identical, just slower), and the pipeline
-falls back to it automatically when the oracle's ordinal codec is not
-the int64 fast path (object-dtype reports cannot live in flat shared
-memory).  The pool is owned solely by the parent: workers attach
-without resource-tracker registration
-(:func:`~repro.service.shm.attach_segment`), so a worker killed
-mid-fold can neither unlink a live segment nor leak one —
-:meth:`~ShardedPipeline.close` unlinks every segment the pool ever
-created, even those a dead worker never finished with.
+segment name; the worker folds straight out of a read-only view, and the
+parent returns the lease to the pool when :meth:`~ShardedPipeline.drain`
+collects the counts.  Because :class:`~repro.service.buffer.FlushBatch`
+already owns its memory, that pool write is the *only* copy a flush pays
+between carving and the worker's fold.  ``transport="pickle"`` ships the
+batch over the pipe instead (bit-identical, just slower), and is used
+automatically when the oracle's ordinal codec is not the int64 fast path
+(object-dtype reports cannot live in flat shared memory).  Workers
+attach without resource-tracker registration
+(:func:`~repro.service.shm.attach_segment`), so a worker killed mid-fold
+can neither unlink a live segment nor leak one —
+:meth:`~ShardedPipeline.close` unlinks every segment the pool created.
 
 Restrictions in ``fold_backend="process"`` mode: the shuffle backend
 must be ``"plain"`` (the crypto backends draw from one shared
@@ -75,30 +88,39 @@ import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 from multiprocessing import get_context
-from typing import Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional
 
 import numpy as np
 
 from ..core.errors import ConfigError
 from ..faults import fail_point
-from ..persistence import MemoryStateStore, RunSnapshot, StateStore, StoredFlush
+from ..persistence import (
+    FlushRecord,
+    IngestCheckpoint,
+    MemoryStateStore,
+    RunSnapshot,
+    StateStore,
+    StateStoreError,
+    StoredFlush,
+)
 from ..persistence.records import generator_from_state
-from .accountant import PrivacyAccountant
+from .accountant import BudgetExceededError, PrivacyAccountant
 from .aggregator import IncrementalAggregator
 from .backends import ShuffleBackend, make_backend
 from .buffer import FlushBatch, ReportBuffer
 from .pipeline import (
+    MAX_REJECTION_RECORDS,
     EpochReport,
     FlushRejection,
-    PipelinePersistenceMixin,
     StreamConfig,
     StreamResult,
     check_replay_support,
+    flush_release_epsilon,
     flush_rng,
     oracle_from_plan,
     release_entropy,
 )
-from .shm import SharedMemoryPool, attach_segment
+from .shm import SegmentLease, SharedMemoryPool, attach_segment
 
 #: fold-execution backends of :class:`ShardedPipeline`
 FOLD_BACKENDS = ("serial", "process")
@@ -121,6 +143,33 @@ _log = logging.getLogger(__name__)
 
 #: per-process (oracle, shuffle backend) pair built by the pool initializer
 _WORKER_STATE = None
+
+
+def release_counts(
+    fo,
+    backend: ShuffleBackend,
+    sequence: int,
+    reports: np.ndarray,
+    n_reports: int,
+    n_fake: int,
+    entropy: tuple,
+):
+    """Release one charged flush: shuffle, decode, check, count.
+
+    The one release body every fold site runs — inline folds, process
+    workers, and recovery replays.  The fakes and permutation come from
+    the flush's own sequence-keyed stream, so under the plain backend a
+    retry, a replay, or another worker recomputes identical counts.
+    Returns ``(decoded, support_counts)``.
+    """
+    shuffled = backend.shuffle(reports, n_fake, fo, flush_rng(entropy, sequence))
+    decoded = fo.decode_reports(shuffled)
+    if len(decoded) != n_reports + n_fake:
+        raise ValueError(
+            f"batch has {len(decoded)} reports but claims "
+            f"{n_reports} genuine + {n_fake} fake"
+        )
+    return decoded, fo.support_counts(decoded)
 
 
 def _init_fold_worker(
@@ -156,69 +205,61 @@ def _worker_ready() -> bool:
     return _WORKER_STATE is not None
 
 
-def _fold_payload(
-    fo, backend, sequence: int, reports: np.ndarray, n_fake: int, entropy: tuple
+def _metered_fold(
+    sequence: int, reports: np.ndarray, n_reports: int, n_fake: int,
+    entropy: tuple,
 ):
-    """The shared fold body: shuffle, decode, count, meter the cache.
+    """:func:`release_counts` in a worker, metered for the parent.
 
-    The parent already charged the accountant; this is pure computation
-    under the flush's own sequence-keyed stream.  Returns
-    ``(support_counts, elapsed_seconds, (cache_hit_delta,
+    Returns ``(support_counts, elapsed_seconds, (cache_hit_delta,
     cache_lookup_delta))`` — deltas, not totals, because one long-lived
     worker folds batches for many shards and the parent sums per-fold.
+    The parent never meters its own folds this way: it reads its cache
+    directly in :meth:`ShardedPipeline.seed_cache_stats`.
     """
     # Chaos seam: fires *before* any work, so an injected kill/raise can
     # never half-fold — a retry recomputes the identical pure function.
+    # Worker-side only: install() arms the parent as well, where it would
+    # fire on the serial degradation rung.
     fail_point("fold.worker", sequence=sequence)
+    fo, backend = _WORKER_STATE
     cache = fo.seed_cache
     hits_before = cache.hits if cache is not None else 0
     lookups_before = cache.lookups if cache is not None else 0
     started = time.perf_counter()
-    shuffled = backend.shuffle(reports, n_fake, fo, flush_rng(entropy, sequence))
-    counts = fo.support_counts(fo.decode_reports(shuffled))
+    __, counts = release_counts(
+        fo, backend, sequence, reports, n_reports, n_fake, entropy
+    )
     elapsed = time.perf_counter() - started
-    if cache is not None:
-        cache_delta = (
-            cache.hits - hits_before, cache.lookups - lookups_before
-        )
-    else:
-        cache_delta = (0, 0)
-    return counts, elapsed, cache_delta
+    if cache is None:
+        return counts, elapsed, (0, 0)
+    return counts, elapsed, (
+        cache.hits - hits_before, cache.lookups - lookups_before
+    )
 
 
-def _fold_block(sequence: int, reports: np.ndarray, n_fake: int, entropy: tuple):
-    """Release one pickled flush batch in a worker (legacy transport)."""
-    fo, backend = _WORKER_STATE
-    return _fold_payload(fo, backend, sequence, reports, n_fake, entropy)
-
-
-def _fold_block_shm(
-    sequence: int,
-    segment_name: str,
-    n_reports: int,
-    n_fake: int,
-    entropy: tuple,
+def _fold_block(
+    sequence: int, payload, n_reports: int, n_fake: int, entropy: tuple
 ):
-    """Release one flush batch straight out of a shared-memory segment.
+    """Release one flush batch in a fold worker.
 
-    The worker maps the parent's segment read-only and folds in place;
-    the first allocation the reports see worker-side is the shuffle's
-    own concat.  The view must die before the mapping closes
-    (``BufferError`` otherwise), and the attach never registers with the
-    worker's resource tracker — the parent's pool is the sole owner, so
-    this worker dying (even SIGKILL mid-fold) cannot unlink or leak the
-    segment.
+    ``payload`` is the batch's encoded reports (pickle transport) or the
+    name of the parent's shared-memory segment holding them (shm
+    transport).  A segment is mapped read-only and folded in place; the
+    view must die before the mapping closes (``BufferError`` otherwise),
+    and the attach never registers with the worker's resource tracker —
+    the parent's pool is the sole owner, so this worker dying (even
+    SIGKILL mid-fold) cannot unlink or leak the segment.
     """
-    fo, backend = _WORKER_STATE
-    segment = attach_segment(segment_name)
+    if not isinstance(payload, str):
+        return _metered_fold(sequence, payload, n_reports, n_fake, entropy)
+    segment = attach_segment(payload)
     try:
-        reports = np.frombuffer(
-            segment.buf, dtype=np.int64, count=n_reports
-        )
+        reports = np.frombuffer(segment.buf, dtype=np.int64, count=n_reports)
         reports.setflags(write=False)
         try:
-            return _fold_payload(
-                fo, backend, sequence, reports, n_fake, entropy
+            return _metered_fold(
+                sequence, reports, n_reports, n_fake, entropy
             )
         finally:
             del reports
@@ -232,22 +273,37 @@ def _fold_block_shm(
             pass
 
 
-class ShardedPipeline(PipelinePersistenceMixin):
-    """Multi-shard streaming collection with a shared privacy ledger.
+def _succeeded(future) -> bool:
+    """True for a fold future that already holds a valid result."""
+    return (
+        future.done() and not future.cancelled() and future.exception() is None
+    )
 
-    Drop-in shaped like :class:`~repro.service.pipeline.TelemetryPipeline`
-    (``submit`` / ``end_epoch`` / ``run`` / ``estimates`` / ``result``),
-    plus :meth:`drain` (collect outstanding process folds),
-    :meth:`warmup` (pre-spawn the pool), and :meth:`close`.  Use as a
-    context manager to guarantee the worker pool is shut down.
 
-    Durable state rides the same write-ahead protocol as the serial
-    pipeline (the charge commits in global carve order before a batch
-    reaches any shard; a process fold's counts commit when the parent
-    collects them in :meth:`drain`), and because the execution layout is
-    not part of the persisted state, :meth:`resume` may pick a different
-    shard or worker count than the crashed run — estimates stay
-    bit-identical either way.
+class ShardedPipeline:
+    """Continuously running shuffle-DP collection for one deployment.
+
+    ``submit`` / ``end_epoch`` / ``run`` / ``estimates`` / ``result``
+    drive it; :meth:`drain` collects outstanding process folds,
+    :meth:`warmup` pre-spawns the fold pool, and :meth:`close` shuts it
+    down.  Use as a context manager to guarantee the worker pool and
+    every shared-memory segment are released.  A serial pipeline owns
+    neither, so construction allocates no pool, executor or segment.
+
+    All privacy-relevant state changes are journaled through a
+    :class:`~repro.persistence.store.StateStore` under a write-ahead
+    protocol: a flush's budget charge (or rejection) commits in global
+    carve order *before* its release, the folded counts commit after (a
+    process fold's when :meth:`drain` collects them), and every closed
+    epoch commits its report plus an estimate snapshot.  With the default
+    :class:`~repro.persistence.store.MemoryStateStore` this costs a few
+    reference assignments per submit; with a
+    :class:`~repro.persistence.sqlite.SqliteStateStore` the run survives
+    a crash and :meth:`resume` rebuilds it — never double-spending a
+    charge, never re-releasing a flushed batch, and continuing
+    bit-identical to an uninterrupted run at the same seed.  The
+    execution layout is not part of the persisted state, so a resume may
+    pick a different shard or worker count than the crashed run.
     """
 
     def __init__(
@@ -258,7 +314,7 @@ class ShardedPipeline(PipelinePersistenceMixin):
         fold_backend: str = "serial",
         workers: Optional[int] = None,
         backend: Optional[ShuffleBackend] = None,
-        clock=time.perf_counter,
+        clock: Callable[[], float] = time.perf_counter,
         store: Optional[StateStore] = None,
         transport: str = "shm",
         chunk_bytes: Optional[int] = None,
@@ -284,6 +340,9 @@ class ShardedPipeline(PipelinePersistenceMixin):
                 f"unknown fold transport {transport!r} "
                 f"(registered: {', '.join(TRANSPORTS)})",
             )
+        # Kernel tuning is execution layout, not deployment identity:
+        # deliberately constructor kwargs rather than StreamConfig fields,
+        # so persisted runs carry no tuning and resume may retune freely.
         if chunk_bytes is not None and int(chunk_bytes) < 1:
             raise ConfigError(
                 "chunk_bytes", f"must be >= 1, got {chunk_bytes}"
@@ -339,10 +398,7 @@ class ShardedPipeline(PipelinePersistenceMixin):
         self.max_fold_retries = int(max_fold_retries)
         self.degrade = bool(degrade)
         if _snapshot is None:
-            # Drawn first, before any other use of rng (see release_entropy)
-            # — the same order TelemetryPipeline follows, which is what makes
-            # the two pipelines' ingest and release streams line up at a
-            # fixed seed.
+            # Drawn first, before any other use of rng (see release_entropy).
             self.release_entropy = release_entropy(rng)
         else:
             # Resume: rng already carries the checkpointed state; the
@@ -396,13 +452,13 @@ class ShardedPipeline(PipelinePersistenceMixin):
         self.backend.prepare(self.fo, rng)
         self._requested_workers = workers
         self._executor: Optional[ProcessPoolExecutor] = None
-        #: outstanding process folds:
-        #: (future, shard index, batch, shm lease or None)
+        #: outstanding process folds: (future, batch, shm lease or None)
         self._pending: List[tuple] = []
         self.epoch_reports: List[EpochReport] = []
         self.rejections: List[FlushRejection] = []
         self.n_rejected = 0
-        self.released_batches: List = []
+        #: each released flush's decoded reports, when ``keep_reports``
+        self.released_batches: List[np.ndarray] = []
         #: [start, stop) index ranges into the submitted-report order that
         #: were actually released (rejected flushes leave gaps)
         self.released_spans: List[tuple] = []
@@ -426,7 +482,7 @@ class ShardedPipeline(PipelinePersistenceMixin):
         fold_backend: str = "serial",
         workers: Optional[int] = None,
         backend: Optional[ShuffleBackend] = None,
-        clock=time.perf_counter,
+        clock: Callable[[], float] = time.perf_counter,
         transport: str = "shm",
         chunk_bytes: Optional[int] = None,
         seed_cache_bytes: int = 0,
@@ -434,16 +490,26 @@ class ShardedPipeline(PipelinePersistenceMixin):
         max_fold_retries: int = 2,
         degrade: bool = True,
     ) -> "ShardedPipeline":
-        """Rebuild the run persisted in ``store`` and continue it sharded.
+        """Rebuild the run persisted in ``store`` and continue it.
 
-        Same recovery invariants as
-        :meth:`~repro.service.pipeline.TelemetryPipeline.resume`; the
-        execution layout (``n_shards``, ``fold_backend``, ``workers``,
-        ``transport``, and the kernel tuning knobs) is chosen fresh — it
-        never affects estimates, and a seed-row cache in particular is a
-        process-local working set that is rebuilt from scratch, never
-        persisted (so it can never be stale relative to the recovered
-        run).
+        Recovery invariants (pinned by ``tests/persistence/``):
+
+        * **no double-spend** — the ledger is exactly the persisted
+          charges; replaying a pending flush never charges again;
+        * **no re-release** — a flush whose counts were committed is
+          folded from those counts, its release randomness is never
+          redrawn;
+        * **bit-identical continuation** — pending (charged, unreleased)
+          flushes are replayed from their persisted reports with the
+          same sequence-keyed RNG streams, and the restored ingest
+          generator, buffer remainder and flush counter make every
+          subsequent draw match an uninterrupted run at the same seed.
+
+        The execution layout (``n_shards``, ``fold_backend``,
+        ``workers``, ``transport``, and the kernel and fault-tolerance
+        knobs) is chosen fresh — it never affects estimates, and a
+        seed-row cache in particular is a process-local working set
+        rebuilt from scratch, never persisted.
         """
         snapshot = store.load_run()
         rng = generator_from_state(snapshot.rng_state)
@@ -522,7 +588,8 @@ class ShardedPipeline(PipelinePersistenceMixin):
         those whose leases the dead worker orphaned, so nothing survives
         in ``/dev/shm`` and the resource tracker never stalls on
         segments nobody owns.  The executor stops first: no worker can
-        be attaching a segment while it is being unlinked.
+        be attaching a segment while it is being unlinked.  The state
+        store stays open; its owner closes it.
         """
         try:
             self.drain()
@@ -545,7 +612,7 @@ class ShardedPipeline(PipelinePersistenceMixin):
     # -- ingestion ---------------------------------------------------------
 
     def submit(self, values) -> int:
-        """Privatize and buffer one client batch; dispatch size flushes.
+        """Privatize and buffer one client batch; release size flushes.
 
         Returns the number of flushes triggered (admitted or rejected).
         Ingestion is the parent's job — privatization consumes the ingest
@@ -599,85 +666,174 @@ class ShardedPipeline(PipelinePersistenceMixin):
             self.end_epoch()
         return self.result()
 
+    # -- write-ahead protocol ----------------------------------------------
+
+    def _checkpoint(self) -> IngestCheckpoint:
+        """The ingest-side mutable state, for the store to commit."""
+        return IngestCheckpoint(
+            rng_state=self.rng.bit_generator.state,
+            buffer_epoch=self.buffer.epoch,
+            next_sequence=self.buffer.next_sequence,
+            pending_chunks=self.buffer.pending_chunks(),
+            pending_count=self.buffer.pending,
+            n_submits=self._n_submits,
+        )
+
+    def _persist_and_release(self, batches: List[FlushBatch]) -> None:
+        """The write-ahead protocol step for one submission.
+
+        Every carved batch is priced first; all verdicts (charges and
+        rejections) plus the post-submit ingest checkpoint commit in one
+        store transaction *before* any release happens.  Only then are
+        the admitted batches released, each committing its counts as it
+        folds.  A crash between the two commits leaves 'charged' rows a
+        resume replays deterministically — the spend is never lost.
+        """
+        if not batches:
+            self.store.record_ingest(self._checkpoint())
+            return
+        records = [self._charge_batch(batch) for batch in batches]
+        self.store.record_flushes(records, self._checkpoint())
+        for batch, record in zip(batches, records):
+            if record.admitted:
+                self._release(batch)
+
+    def _charge_batch(self, batch: FlushBatch) -> FlushRecord:
+        """Price one batch against the ledger; never releases."""
+        plan = self.config.plan
+        self._epoch_flushes += 1
+        span = (self._consumed, self._consumed + batch.n_reports)
+        self._consumed = span[1]
+        # Price the batch at its own size: an epoch-end remainder carries
+        # less genuine blanket than a full flush, so it costs more.
+        price = flush_release_epsilon(
+            self.config.d, plan, batch.n_reports, batch.n_fake
+        )
+        verdict = dict(
+            sequence=batch.sequence,
+            epoch=batch.epoch,
+            trigger=batch.trigger,
+            n_reports=batch.n_reports,
+            n_fake=batch.n_fake,
+            reports=batch.reports,
+        )
+        try:
+            charge = self.accountant.charge(
+                price,
+                plan.delta,
+                label=f"epoch{batch.epoch}/flush{batch.sequence}",
+            )
+        except BudgetExceededError as refusal:
+            self._epoch_rejected += 1
+            self._record_rejection(batch, str(refusal))
+            return FlushRecord(
+                **verdict,
+                charge_eps=None,
+                charge_delta=None,
+                charge_label=None,
+                reject_reason=str(refusal),
+            )
+        self._epoch_reports_released += batch.n_reports
+        self._epoch_fakes += batch.n_fake
+        self.released_spans.append(span)
+        return FlushRecord(
+            **verdict,
+            charge_eps=charge.eps,
+            charge_delta=charge.delta,
+            charge_label=charge.label,
+            reject_reason=None,
+        )
+
+    def _record_rejection(self, flush, reason: str) -> None:
+        """Count one refused flush; keep the first few in detail."""
+        self.n_rejected += 1
+        if len(self.rejections) < MAX_REJECTION_RECORDS:
+            self.rejections.append(
+                FlushRejection(
+                    epoch=flush.epoch,
+                    sequence=flush.sequence,
+                    n_reports=flush.n_reports,
+                    reason=reason,
+                )
+            )
+
     # -- flush processing --------------------------------------------------
 
     def _release(self, batch: FlushBatch) -> None:
         """Hand one admitted (already charged and journaled) batch to its
         shard — inline for serial folding (and after a degradation to the
-        serial fallback), as a future for process folding, whose counts
-        are committed when :meth:`drain` collects them."""
-        shard = batch.sequence % self.n_shards
-        if self.fold_backend == "process" and not self._serial_fallback:
-            # An all-fake empty batch has no payload to ship; POSIX shm
-            # segments cannot be zero-sized, so it rides the pickle path.
-            if self._use_shm and batch.n_reports > 0:
-                try:
-                    lease = self._pool().acquire(batch.reports.nbytes)
-                except Exception as failure:
-                    # Graceful transport degradation at the write site: a
-                    # failed segment acquire (exhausted /dev/shm, an
-                    # injected "shm.write" fault) must not lose a charged
-                    # flush — the payload still lives in the batch's own
-                    # buffer, so ship it pickled from here on.
-                    self._degrade_transport(
-                        "pickle", f"shm write failed: {failure!r}"
-                    )
-                else:
-                    window = np.frombuffer(
-                        lease.shm.buf, dtype=np.int64, count=batch.n_reports
-                    )
-                    window[:] = batch.reports
-                    del window  # views must die before the segment closes
-                    self._bytes_moved += batch.reports.nbytes
-                    future = self._submit_supervised(
-                        _fold_block_shm,
-                        batch.sequence,
-                        lease.name,
-                        batch.n_reports,
-                        batch.n_fake,
-                        self.release_entropy,
-                    )
-                    self._pending.append((future, shard, batch, lease))
-                    return
-            self._bytes_moved += batch.reports.nbytes
-            future = self._submit_supervised(
-                _fold_block,
-                batch.sequence,
-                batch.reports,
-                batch.n_fake,
-                self.release_entropy,
-            )
-            self._pending.append((future, shard, batch, None))
+        serial rung), as a future for process folding, whose counts are
+        committed when :meth:`drain` collects them."""
+        if self.fold_backend != "process" or self._serial_fallback:
+            self._fold_inline(batch)
             return
-        self._fold_inline(shard, batch)
+        lease = self._lease_segment(batch)
+        self._bytes_moved += batch.reports.nbytes
+        future = self._submit_supervised(
+            _fold_block, *self._fold_args(batch, lease)
+        )
+        self._pending.append((future, batch, lease))
 
-    def _fold_inline(self, shard: int, batch: FlushBatch) -> None:
+    def _lease_segment(self, batch: FlushBatch) -> Optional[SegmentLease]:
+        """Copy ``batch`` into a pooled segment; None when it ships pickled.
+
+        An all-fake empty batch has no payload to ship (POSIX shm
+        segments cannot be zero-sized), so it rides the pickle path.  A
+        failed acquire (exhausted ``/dev/shm``, an injected
+        ``"shm.write"`` fault) must not lose a charged flush: the payload
+        still lives in the batch's own buffer, so the transport degrades
+        to pickle at the write site and the batch ships from there.
+        """
+        if not self._use_shm or batch.n_reports == 0:
+            return None
+        try:
+            lease = self._pool().acquire(batch.reports.nbytes)
+        except Exception as failure:
+            self._degrade_transport("pickle", f"shm write failed: {failure!r}")
+            return None
+        window = np.frombuffer(
+            lease.shm.buf, dtype=np.int64, count=batch.n_reports
+        )
+        window[:] = batch.reports
+        del window  # views must die before the segment closes
+        return lease
+
+    def _fold_args(self, batch: FlushBatch, lease: Optional[SegmentLease]):
+        """The :func:`_fold_block` arguments that fold ``batch``."""
+        payload = batch.reports if lease is None else lease.name
+        return (
+            batch.sequence, payload, batch.n_reports, batch.n_fake,
+            self.release_entropy,
+        )
+
+    def _fold_inline(self, batch: FlushBatch) -> None:
         """Fold one batch in the parent: the serial path and the terminal
         rung of the degradation ladder (always available — the parent
         holds a prepared backend and every batch owns its buffer)."""
         started = self.clock()
-        shuffled = self.backend.shuffle(
-            batch.reports, batch.n_fake, self.fo,
-            flush_rng(self.release_entropy, batch.sequence),
+        decoded, counts = release_counts(
+            self.fo, self.backend, batch.sequence, batch.reports,
+            batch.n_reports, batch.n_fake, self.release_entropy,
         )
-        decoded = self.fo.decode_reports(shuffled)
-        if len(decoded) != batch.n_reports + batch.n_fake:
-            raise ValueError(
-                f"batch has {len(decoded)} reports but claims "
-                f"{batch.n_reports} genuine + {batch.n_fake} fake"
-            )
-        counts = self.fo.support_counts(decoded)
-        self.shards[shard].fold_counts(counts, batch.n_reports, batch.n_fake)
-        self._epoch_latency += self.clock() - started
         if self.config.keep_reports:
             self.released_batches.append(decoded)
-        self.store.record_release(batch.sequence, counts)
+        self._commit_fold(batch, counts, self.clock() - started)
 
-    def _fold_restored(self, flush: StoredFlush, counts: np.ndarray) -> None:
-        """A recovered flush folds into the shard its sequence picks."""
+    def _collect(self, batch: FlushBatch, outcome: tuple) -> None:
+        """Commit one finished worker fold and its seed-cache deltas."""
+        counts, elapsed, (hits, lookups) = outcome
+        self._worker_cache_hits += hits
+        self._worker_cache_lookups += lookups
+        self._commit_fold(batch, counts, elapsed)
+
+    def _commit_fold(self, flush, counts: np.ndarray, elapsed: float) -> None:
+        """Fold a released flush's counts into the shard its sequence
+        picks, then journal them — the flush's release is now final."""
         self.shards[flush.sequence % self.n_shards].fold_counts(
             counts, flush.n_reports, flush.n_fake
         )
+        self.store.record_release(flush.sequence, counts)
+        self._epoch_latency += elapsed
 
     def drain(self) -> int:
         """Fold every outstanding worker result into its shard, supervised.
@@ -703,11 +859,9 @@ class ShardedPipeline(PipelinePersistenceMixin):
         collected = 0
         consecutive = 0
         while self._pending:
-            future, shard, batch, lease = self._pending[0]
+            future, batch, lease = self._pending[0]
             try:
-                counts, elapsed, cache_delta = future.result(
-                    timeout=self.fold_timeout
-                )
+                outcome = future.result(timeout=self.fold_timeout)
             except _FutureTimeout as failure:
                 self._fault_stats["fold_timeouts"] += 1
                 consecutive = self._recover_folds(
@@ -725,13 +879,7 @@ class ShardedPipeline(PipelinePersistenceMixin):
                 # The worker is done with the segment; back to the pool
                 # for the next flush.
                 lease.release()
-            self._worker_cache_hits += cache_delta[0]
-            self._worker_cache_lookups += cache_delta[1]
-            self.shards[shard].fold_counts(
-                counts, batch.n_reports, batch.n_fake
-            )
-            self.store.record_release(batch.sequence, counts)
-            self._epoch_latency += elapsed
+            self._collect(batch, outcome)
             collected += 1
         return collected
 
@@ -832,62 +980,29 @@ class ShardedPipeline(PipelinePersistenceMixin):
         """
         entries, self._pending = self._pending, []
         if self._serial_fallback:
-            for future, shard, batch, lease in entries:
+            for future, batch, lease in entries:
                 try:
-                    if (
-                        future.done()
-                        and not future.cancelled()
-                        and future.exception() is None
-                    ):
-                        counts, elapsed, cache_delta = future.result()
-                        self._worker_cache_hits += cache_delta[0]
-                        self._worker_cache_lookups += cache_delta[1]
-                        self.shards[shard].fold_counts(
-                            counts, batch.n_reports, batch.n_fake
-                        )
-                        self.store.record_release(batch.sequence, counts)
-                        self._epoch_latency += elapsed
+                    if _succeeded(future):
+                        self._collect(batch, future.result())
                     else:
-                        self._fold_inline(shard, batch)
+                        self._fold_inline(batch)
                 finally:
                     if lease is not None:
                         lease.release()
             return
         executor = self._ensure_executor()
-        for future, shard, batch, lease in entries:
-            if (
-                future.done()
-                and not future.cancelled()
-                and future.exception() is None
-            ):
-                # Completed before the failure: the result is a pure
-                # function of the batch — keep it, collect it in drain.
-                self._pending.append((future, shard, batch, lease))
-                continue
-            if lease is not None and self._use_shm:
-                replacement = executor.submit(
-                    _fold_block_shm,
-                    batch.sequence,
-                    lease.name,
-                    batch.n_reports,
-                    batch.n_fake,
-                    self.release_entropy,
+        for future, batch, lease in entries:
+            if not _succeeded(future):
+                if lease is not None and not self._use_shm:
+                    # Degraded shm -> pickle mid-flight: the batch's own
+                    # buffer ships from now on; the segment goes back to
+                    # the pool.
+                    lease.release()
+                    lease = None
+                future = executor.submit(
+                    _fold_block, *self._fold_args(batch, lease)
                 )
-                self._pending.append((replacement, shard, batch, lease))
-                continue
-            if lease is not None:
-                # Degraded shm -> pickle mid-flight: the batch's own
-                # buffer ships from now on; the segment goes back to the
-                # pool.
-                lease.release()
-            replacement = executor.submit(
-                _fold_block,
-                batch.sequence,
-                batch.reports,
-                batch.n_fake,
-                self.release_entropy,
-            )
-            self._pending.append((replacement, shard, batch, None))
+            self._pending.append((future, batch, lease))
 
     def _effective_transport(self) -> str:
         """The rung of the degradation ladder folds currently ride."""
@@ -908,6 +1023,95 @@ class ShardedPipeline(PipelinePersistenceMixin):
             "fold transport degraded %s -> %s: %s", previous, level, reason
         )
 
+    # -- recovery ----------------------------------------------------------
+
+    def _restore(self, snapshot: RunSnapshot) -> None:
+        """Rebuild mutable state from a snapshot; replay pending flushes."""
+        check_replay_support(self.config, self.fo)
+        self.accountant.restore(snapshot.charges)
+        self.buffer.restore_state(
+            snapshot.buffer_epoch, snapshot.next_sequence, snapshot.remainder
+        )
+        self._n_submits = snapshot.n_submits
+        self.epoch_reports = list(snapshot.epoch_reports)
+        offset = 0
+        for flush in snapshot.flushes:
+            span = (offset, offset + flush.n_reports)
+            offset = span[1]
+            if flush.status == "rejected":
+                self._record_rejection(flush, flush.reject_reason or "rejected")
+                continue
+            self.released_spans.append(span)
+            if flush.status == "released":
+                # Never re-release: fold the committed counts as-is.
+                self.shards[flush.sequence % self.n_shards].fold_counts(
+                    flush.counts, flush.n_reports, flush.n_fake
+                )
+            else:
+                self._replay_release(flush)
+        self._consumed = offset
+        if len(self.epoch_reports) < self.buffer.epoch:
+            self._synthesize_epoch(snapshot)
+        # Partial counters of the epoch that was open at the crash; its
+        # release latency is lost with the process (metrics only — the
+        # determinism contract covers estimates and spend, not timings).
+        current = [
+            flush for flush in snapshot.flushes
+            if flush.epoch == self.buffer.epoch
+        ]
+        released = [f for f in current if f.status != "rejected"]
+        self._epoch_flushes = len(current)
+        self._epoch_rejected = len(current) - len(released)
+        self._epoch_reports_released = sum(f.n_reports for f in released)
+        self._epoch_fakes = sum(f.n_fake for f in released)
+        self._epoch_latency = 0.0
+
+    def _replay_release(self, flush: StoredFlush) -> None:
+        """Deterministically redo a charged-but-unreleased flush.
+
+        The release stream is keyed by the flush's persisted sequence
+        number, so the fakes and permutation — hence the folded counts —
+        are bit-identical to what the crashed process would have
+        produced.  The charge is already on the restored ledger; nothing
+        is charged again.  Replays always run inline in the parent.
+        """
+        __, counts = release_counts(
+            self.fo, self.backend, flush.sequence, flush.reports,
+            flush.n_reports, flush.n_fake, self.release_entropy,
+        )
+        self._commit_fold(flush, counts, 0.0)
+
+    def _synthesize_epoch(self, snapshot: RunSnapshot) -> None:
+        """Close the epoch whose flushes committed but whose report didn't.
+
+        Only the crash epoch can be in flight: an epoch's report commits
+        before any later submission, so a gap deeper than one record
+        means the store was tampered with.
+        """
+        missing = self.buffer.epoch - len(self.epoch_reports)
+        if missing != 1:
+            raise StateStoreError(
+                f"snapshot is missing {missing} epoch records; only the "
+                f"epoch in flight at the crash can lack one"
+            )
+        epoch = self.buffer.epoch - 1
+        rows = [f for f in snapshot.flushes if f.epoch == epoch]
+        released = [f for f in rows if f.status != "rejected"]
+        eps_spent, delta_spent = self.accountant.spent()
+        report = EpochReport(
+            epoch=epoch,
+            n_flushes=len(rows),
+            n_rejected=len(rows) - len(released),
+            n_reports=sum(f.n_reports for f in released),
+            n_fake=sum(f.n_fake for f in released),
+            flush_latency_s=0.0,
+            reports_per_sec=0.0,
+            eps_spent=eps_spent,
+            delta_spent=delta_spent,
+        )
+        self.epoch_reports.append(report)
+        self.store.record_epoch(report, self.estimates(), self._checkpoint())
+
     # -- observability -----------------------------------------------------
 
     def transport_stats(self) -> dict:
@@ -917,8 +1121,9 @@ class ShardedPipeline(PipelinePersistenceMixin):
         to ``"pickle"`` for object-dtype codecs, and supervision may
         have walked the ladder further — see :meth:`fault_stats`),
         ``bytes_moved`` the total report payload shipped to workers on
-        either transport, and ``shm_peak_bytes`` the pool's peak
-        allocated segment bytes (0 until the first shm fold).
+        either transport (0 for serial folds), and ``shm_peak_bytes``
+        the pool's peak allocated segment bytes (0 until the first shm
+        fold).
         """
         pool = self._shm_pool
         return {
@@ -964,8 +1169,24 @@ class ShardedPipeline(PipelinePersistenceMixin):
     # -- results -----------------------------------------------------------
 
     @property
+    def n_submits(self) -> int:
+        """Non-empty submissions applied — a feeder's resume cursor."""
+        return self._n_submits
+
+    @property
+    def epochs_completed(self) -> int:
+        """Epochs closed so far (resume-synthesized ones included)."""
+        return len(self.epoch_reports)
+
+    @property
     def exhausted(self) -> bool:
-        """True once no positive charge can ever be admitted again."""
+        """True once no positive charge can ever be admitted again.
+
+        A long-running feeder should consult this and stop submitting:
+        the pipeline keeps pricing and refusing flushes either way (so
+        refusals stay visible in the epoch metrics), but past this point
+        every privatize pass is wasted work.
+        """
         return self.accountant.remaining_eps() <= 0.0
 
     def aggregate(self) -> IncrementalAggregator:
@@ -983,8 +1204,10 @@ class ShardedPipeline(PipelinePersistenceMixin):
     def released_values(self, submitted_values: np.ndarray) -> np.ndarray:
         """The subset of ``submitted_values`` that was actually released.
 
-        Same demo/metric helper as
-        :meth:`~repro.service.pipeline.TelemetryPipeline.released_values`.
+        ``submitted_values`` must be every value fed to :meth:`submit`, in
+        order; rejected flushes leave gaps, which this selects around via
+        ``released_spans``.  Demo/metric helper — a real deployment never
+        holds raw values server-side.
         """
         submitted_values = np.asarray(submitted_values)
         if len(submitted_values) < self._consumed:
@@ -1013,3 +1236,8 @@ class ShardedPipeline(PipelinePersistenceMixin):
             n_rejected=self.n_rejected,
             rejections=list(self.rejections),
         )
+
+
+#: the older public name, kept for importers: every layout, the
+#: single-shard serial default included, is one :class:`ShardedPipeline`
+TelemetryPipeline = ShardedPipeline

@@ -20,7 +20,12 @@ from repro.persistence import (
     SqliteStateStore,
     StateStoreError,
 )
-from repro.service import ShardedPipeline, StreamConfig, TelemetryPipeline
+from repro.service import (
+    PlainShuffleBackend,
+    ShardedPipeline,
+    StreamConfig,
+    TelemetryPipeline,
+)
 
 D = 16
 EPOCHS = 3
@@ -173,6 +178,30 @@ class TestCrashWindows:
             tmp_path, "record_release", 3, "before", reference,
             resume_shards=2,
         )
+
+
+class TestReplayChecksRelease:
+    def test_replay_refuses_a_short_release(self, tmp_path):
+        # A replayed release runs the same length check as a live fold:
+        # a shuffle that loses a report must not fold short counts.
+        path = str(tmp_path / "state.db")
+        wrapped = FaultInjectingStore(
+            SqliteStateStore(path), "record_flushes", 2, "after"
+        )
+        pipeline = ShardedPipeline(
+            make_config(), np.random.default_rng(SEED), store=wrapped
+        )
+        with pytest.raises(SimulatedCrash):
+            drive(pipeline)
+        wrapped._inner.close()
+
+        class DroppingBackend(PlainShuffleBackend):
+            def shuffle(self, encoded, n_fake, fo, rng):
+                return super().shuffle(encoded, n_fake, fo, rng)[1:]
+
+        with SqliteStateStore(path) as store:
+            with pytest.raises(ValueError, match="claims"):
+                ShardedPipeline.resume(store, backend=DroppingBackend())
 
 
 class TestShardedCrash:

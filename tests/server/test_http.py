@@ -130,6 +130,13 @@ def test_non_object_json_body_is_400():
     broken = Request(method="POST", path="/", body=b"{nope")
     with pytest.raises(HttpError):
         broken.json()
+    nested = Request(
+        method="POST", path="/", body=b"[" * 100_000 + b"]" * 100_000
+    )
+    with pytest.raises(HttpError) as caught:
+        nested.json()
+    assert caught.value.status == 400
+    assert caught.value.field == "body"
 
 
 def test_response_bytes_round_trip():

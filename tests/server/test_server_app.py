@@ -127,6 +127,7 @@ def test_validation_and_routing_errors():
                     ({"values": [True]}, "values"),  # boolean
                     ({"values": [D]}, "values"),    # out of domain
                     ({"values": [-1]}, "values"),   # negative
+                    ({"values": [1, [2]]}, "values"),  # ragged
                 ]
                 for payload, field in cases:
                     response = await client.request(

@@ -1,13 +1,15 @@
 """Seed determinism: streaming and one-shot paths are reproducible and
 agree bit-for-bit on the same released reports, for GRR and SOLH."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core.params import PeosPlan
 from repro.frequency_oracles import GRR, SOLH
 from repro.hashing import XXHash32Family
-from repro.service import StreamConfig, TelemetryPipeline
+from repro.service import StreamConfig, TelemetryPipeline, epoch_release_epsilon
 
 
 def _plan(mechanism: str) -> PeosPlan:
@@ -88,3 +90,57 @@ class TestStreamingMatchesOneShot:
         raw = fo.estimate(counts, result.n_genuine + result.n_fake)
         one_shot = fo.calibrate_with_fakes(raw, result.n_genuine, result.n_fake)
         assert one_shot.tobytes() == result.estimates.tobytes()
+
+
+#: ``(sha256(estimates), eps_spent, n_fake, n_rejected)`` of
+#: :func:`_golden_run`, recorded from the pipeline before its serial and
+#: sharded classes merged into one.  A change here means the release path
+#: changed its output at a fixed seed.
+GOLDEN = {
+    "grr": (
+        "0c7ac22be1660f18c48788ac0c55b3a1c6d2804684492a4aff4a6c2c4bdc4197",
+        46.98331758558908,
+        150,
+        3,
+    ),
+    "solh": (
+        "397be2c554815c4ffda8a9765ea9bd5412f979ce7ce96fe6ac67d4881d926a8b",
+        35.98106674961166,
+        150,
+        3,
+    ),
+}
+
+
+def _golden_run(mechanism: str):
+    """Three epochs of 150 reports at flush_size 60, budget for two.
+
+    Each admitted epoch releases two full flushes plus an epoch-end
+    remainder of 30; all three flushes of the last epoch are refused.
+    """
+    plan = _plan(mechanism)
+    config = StreamConfig(
+        d=8,
+        plan=plan,
+        flush_size=60,
+        eps_budget=2 * epoch_release_epsilon(8, plan, 150, 60),
+        delta_budget=plan.delta * 9,
+    )
+    pipeline = TelemetryPipeline(config, np.random.default_rng(2020))
+    feed = np.random.default_rng(7)
+    for __ in range(3):
+        pipeline.submit(feed.integers(0, 8, 150))
+        pipeline.end_epoch()
+    return pipeline.result()
+
+
+@pytest.mark.parametrize("mechanism", ["grr", "solh"])
+def test_golden_stream_result(mechanism):
+    result = _golden_run(mechanism)
+    assert [(e.n_flushes, e.n_rejected) for e in result.epochs] == [
+        (3, 0), (3, 0), (3, 3)
+    ]
+    digest = hashlib.sha256(result.estimates.tobytes()).hexdigest()
+    assert (
+        digest, result.eps_spent, result.n_fake, result.n_rejected
+    ) == GOLDEN[mechanism]

@@ -110,8 +110,8 @@ class TestBudgetEnforcement:
         pipeline = TelemetryPipeline(small_config(admitted_flushes=1), rng)
         pipeline.submit(rng.integers(0, 8, 100))
         pipeline.end_epoch()
-        assert pipeline.aggregator.n_batches == 1
-        assert pipeline.aggregator.n_genuine == 50
+        assert pipeline.aggregate().n_batches == 1
+        assert pipeline.aggregate().n_genuine == 50
 
     def test_released_spans_skip_rejected_flushes(self, rng):
         pipeline = TelemetryPipeline(small_config(admitted_flushes=1), rng)
@@ -199,7 +199,7 @@ class TestBackends:
         pipeline.submit(rng.integers(0, 8, 30))
         report = pipeline.end_epoch()
         assert report.n_reports == 30
-        assert pipeline.aggregator.total_reports == 30 + 20
+        assert pipeline.aggregate().total_reports == 30 + 20
         assert np.isfinite(pipeline.estimates()).all()
 
     def test_peos_backend(self, rng, paillier_keys):
@@ -218,7 +218,7 @@ class TestBackends:
         pipeline.submit(rng.integers(0, 8, 20))
         report = pipeline.end_epoch()
         assert report.n_reports == 20
-        assert pipeline.aggregator.total_reports == 30
+        assert pipeline.aggregate().total_reports == 30
         assert np.isfinite(pipeline.estimates()).all()
 
     def test_unknown_backend_rejected(self):
@@ -260,7 +260,7 @@ class TestConfig:
         assert report.n_flushes == 1
         assert report.n_reports == 0
         assert report.n_fake == 20
-        assert pipeline.aggregator.n_fake == 20
+        assert pipeline.aggregate().n_fake == 20
         # All-fake releases are priced at the fakes-only bound.
         assert report.eps_spent == pytest.approx(
             flush_release_epsilon(8, config.plan, 0, 20)
