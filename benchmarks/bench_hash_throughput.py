@@ -37,7 +37,6 @@ from repro.hashing import (
     plan_support_counts,
     support_counts_kernel,
 )
-from repro.hashing.kernels import DEFAULT_CHUNK_BYTES
 from repro.hashing.xxhash32 import xxhash32_int
 
 from bench_common import BenchResult, bench_seed, emit, run_once, standalone_main
@@ -58,6 +57,9 @@ FAMILIES = (CarterWegmanHashFamily(), MultiplyShiftHashFamily(), XXHash32Family(
 #: bytes per hash the legacy materialize-compare-sum loop touched
 #: (int64 hash matrix + boolean match mask)
 LEGACY_BYTES_PER_HASH = 9
+
+#: the chunk budget the legacy loop ran under (its fixed 64 MiB default)
+LEGACY_CHUNK_BYTES = 1 << 26
 
 
 def _time_outer(family, seeds, values, repeats: int = 3) -> float:
@@ -130,7 +132,7 @@ def _experiment() -> BenchResult:
         plan = plan_support_counts(N_SEEDS, N_VALUES, D_OUT)
         # The legacy loop chunked by its own formula (8-byte rows), not the
         # kernel planner's — size its footprint accordingly.
-        legacy_chunk = min(N_SEEDS, max(1, DEFAULT_CHUNK_BYTES // (8 * N_VALUES)))
+        legacy_chunk = min(N_SEEDS, max(1, LEGACY_CHUNK_BYTES // (8 * N_VALUES)))
         legacy_bytes = LEGACY_BYTES_PER_HASH * legacy_chunk * N_VALUES
         extra["families"][family.name] = {
             "hashes_per_sec": total / elapsed,

@@ -145,7 +145,7 @@ class LocalHashingOracle(FrequencyOracle):
 
         Delegates to the shared low-allocation kernel
         (:func:`repro.hashing.kernels.support_counts_kernel`): uint32
-        chunks sized by ``chunk_bytes``, bincount match accumulation, and
+        tiles sized by ``chunk_bytes``, an axis-0 match count, and
         a unique-seed fast path for 32-bit seed spaces — bit-identical to
         the naive materialize-compare-sum evaluation on every path.  This
         is the O(n*d) server-side hot path.

@@ -1,9 +1,10 @@
 """One-shot timed calibration of the support-count kernel.
 
-``plan_support_counts`` historically walked the hash matrix under a
-static 64 MiB chunk budget — a number tuned on one machine.  The right
-budget is a cache question (a chunk should be L2/L3-resident while the
-bincount gathers run), so this module measures it: time the standard
+``plan_support_counts`` walks the hash matrix under a static default
+tile budget (:data:`repro.hashing.kernels.DEFAULT_CHUNK_BYTES`, sized for
+a 2 MiB L2) — a number tuned on one machine.  The right budget is a
+cache question (a tile should stay cache-resident across its
+elementwise passes), so this module measures it: time the standard
 kernel path over a small ladder of candidate budgets on a synthetic
 workload shaped like the streaming hot path, pick the fastest, and
 install it process-wide via
@@ -35,6 +36,7 @@ import numpy as np
 
 from .families import HashFamily, XXHash32Family
 from .kernels import (
+    DEFAULT_CHUNK_BYTES,
     plan_support_counts,
     set_active_chunk_bytes,
     support_counts_kernel,
@@ -52,9 +54,11 @@ __all__ = [
 #: state store's tuning bag
 CALIBRATION_TUNING_KEY = "kernel_calibration"
 
-#: chunk-budget ladder the timed probe walks: 1 MiB (well inside L2 on
-#: anything current) up to the historical 64 MiB static default
-_LADDER: Tuple[int, ...] = tuple(1 << p for p in range(20, 27))
+#: chunk-budget ladder the timed probe walks: the static default tile
+#: first (so ``"auto"`` can keep it), then 1 MiB up to 64 MiB
+_LADDER: Tuple[int, ...] = (DEFAULT_CHUNK_BYTES,) + tuple(
+    1 << p for p in range(20, 27)
+)
 
 #: synthetic probe workload — sized so one full ladder probe stays well
 #: under a second on CI-class hardware while still spanning several

@@ -1,25 +1,31 @@
-"""Low-allocation support-count kernels — the O(n*d) decode hot path.
+"""Cache-resident support-count kernels — the O(n*d) decode hot path.
 
 Server-side OLH/SOLH aggregation evaluates every report's hash function on
 every candidate value and counts the matches: ``counts[v] = #{i :
 H_{seed_i}(v) == y_i}``.  The naive formulation materializes an int64
-``(chunk, d)`` hash matrix plus a same-shaped boolean mask per chunk and
-reduces the mask — 9 bytes of intermediate per hash.  This module is the
-single shared implementation every consumer (the local-hashing oracles,
-the incremental aggregator's materialized fold path, the sharded
-pipeline's process folds, and through them the sweep engine and the PEOS
-protocol decode) routes through, built around three ideas:
+``(n, d)`` hash matrix plus a same-shaped boolean mask and reduces the
+mask — 9 bytes of intermediate per hash, streamed through DRAM once the
+matrix outgrows the caches.  This module is the single shared
+implementation every consumer (the local-hashing oracles, the
+incremental aggregator's materialized fold path, the sharded pipeline's
+process folds, and through them the sweep engine and the PEOS protocol
+decode) routes through, built around four ideas:
 
 * **uint32 intermediates.**  Hashed values live in ``[0, d')`` with ``d'``
-  far below ``2^32``, so chunks are produced in uint32 via
-  :meth:`~repro.hashing.families.HashFamily.hash_outer_u32` and compared
-  by an in-place XOR against the reported values — no int64 matrix, no
-  second matrix-shaped allocation for the comparison.
-* **bincount accumulation.**  Matches are expected to be sparse (one per
-  ``d'`` hashes), so the kernel gathers the match positions with
-  ``flatnonzero`` and folds them into the counts with ``np.bincount``
-  instead of reducing a ``(chunk, d)`` boolean matrix along axis 0.
-* **chunk orientation.**  The chunk walks whichever axis keeps a full
+  far below ``2^32``, so tiles are produced in uint32 via
+  :meth:`~repro.hashing.families.HashFamily.hash_outer_u32`, whose
+  ``[0, d')`` reduction is a scalar ``floor_divide`` (numpy's libdivide
+  path) rather than ``np.remainder``.
+* **cache-resident tiles.**  The default budget
+  (:data:`DEFAULT_CHUNK_BYTES`) holds 64 Ki hashes per tile: a 256 KiB
+  uint32 tile plus its 64 KiB match mask.  Every elementwise pass of
+  hashing, reduction and matching then runs over L2-resident data instead
+  of streaming a multi-MiB matrix through memory once per pass.
+* **axis-0 match count.**  A tile is compared against the reported values
+  with one ``np.equal`` (a 1-byte mask) and the mask's uint8 view is
+  summed down the report axis with ``np.add.reduce`` — two contiguous
+  passes, no gather or scatter of match positions.
+* **chunk orientation.**  The tile walks whichever axis keeps a full
   stripe of the other within ``chunk_bytes``: report-major when a full
   candidate row fits (the common case), candidate-major when the candidate
   axis is so wide that even one report row would blow the budget.
@@ -31,7 +37,9 @@ indicator is replaced by a table lookup of per-``(seed, y)`` report
 multiplicities.  With ``u`` distinct seeds the hash work drops from
 ``O(n*d)`` to ``O(u*d)`` — a large win exactly where the 32-bit seed space
 forces collisions (``n`` within an order of magnitude of ``2^32``, or any
-workload that re-aggregates a retained report set).
+workload that re-aggregates a retained report set).  The multiplicity
+table has its own size gate (:data:`_UNIQUE_TABLE_BYTES`), independent of
+the tile budget that still tiles the gather.
 
 Every path produces **bit-identical** counts: hashing is deterministic,
 matches are counted in exact integer arithmetic, and integer sums are
@@ -61,8 +69,11 @@ __all__ = [
     "support_counts_kernel",
 ]
 
-#: default per-chunk intermediate budget (matches the oracles' default)
-DEFAULT_CHUNK_BYTES = 1 << 26
+#: default per-tile intermediate budget: 64 Ki hashes at
+#: ``_STANDARD_BYTES_PER_HASH`` bytes each, i.e. a 256 KiB uint32 tile and
+#: its 64 KiB mask — small enough to stay resident in a core's L2 across
+#: the ~20 elementwise passes one tile goes through
+DEFAULT_CHUNK_BYTES = 5 << 16
 
 #: process-wide calibrated ``chunk_bytes`` override (None = uncalibrated).
 #: Lives here rather than in :mod:`repro.hashing.calibrate` so the kernel
@@ -94,12 +105,19 @@ def active_chunk_bytes() -> int:
     )
 
 #: bytes of matrix-shaped intermediates per hash on the standard path:
-#: the uint32 chunk (4) plus the match mask ``flatnonzero`` scans (1)
+#: the uint32 tile (4) plus the boolean match mask reduced along axis 0 (1)
 _STANDARD_BYTES_PER_HASH = 5
 
 #: bytes per hash on the unique-seed path: the uint32 chunk (4, reused
 #: directly as gather indices) and the int64 multiplicity gather result (8)
 _UNIQUE_BYTES_PER_HASH = 12
+
+#: largest int64 per-``(seed, y)`` multiplicity table the unique-seed path
+#: builds.  Deliberately not the tile budget: the table is one allocation
+#: per call whose size follows the seed count, and tying it to a
+#: cache-sized tile would turn grouping (and any ``SeedRowCache``) off for
+#: every realistic flush
+_UNIQUE_TABLE_BYTES = 1 << 26
 
 #: largest seed space eligible for unique-seed grouping; grouping first
 #: requires a sort of the seeds, which only pays off when the space is
@@ -180,9 +198,10 @@ def plan_support_counts(
     ``n_unique`` (the distinct-seed count, when the caller has it) enables
     the unique-seed path exactly when grouping is profitable: the seed
     space is small, at least a quarter of the reports share a seed with
-    another report, and the per-``(seed, y)`` multiplicity table fits the
-    byte budget.  ``prefer_unique`` drops the duplicate-ratio requirement
-    (the table-fit requirement stays): a caller holding a
+    another report, and the per-``(seed, y)`` multiplicity table fits
+    :data:`_UNIQUE_TABLE_BYTES` (the gather is still tiled under
+    ``chunk_bytes``).  ``prefer_unique`` drops the duplicate-ratio
+    requirement (the table-fit requirement stays): a caller holding a
     :class:`SeedRowCache` wants the unique path even for all-distinct
     seeds, because the rows it hashes this flush are the hits of the
     next.  The returned plan is purely an execution choice — every plan
@@ -194,7 +213,7 @@ def plan_support_counts(
         n_unique is not None
         and n_reports > 0
         and (prefer_unique or n_unique <= _UNIQUE_RATIO * n_reports)
-        and n_unique * max(1, d_out) * 8 <= chunk_bytes
+        and n_unique * max(1, d_out) * 8 <= _UNIQUE_TABLE_BYTES
     ):
         chunk = max(1, chunk_bytes // (_UNIQUE_BYTES_PER_HASH * max(1, n_candidates)))
         chunk = min(chunk, max(1, n_unique))
@@ -257,9 +276,9 @@ class SeedRowCache:
       domain sizes.  Callers additionally guarantee the candidate
       *values* are fixed given the identity (the oracles pass the cache
       only for the default full-domain ``arange(d)`` candidates).
-    * **Read-only rows.**  Cached rows feed the unique path's gather,
-      which never mutates its hash chunk — the standard path's in-place
-      XOR (:func:`_match_columns`) must not and does not see them.
+    * **Read-only rows.**  Cached rows feed only the unique path's
+      gather, which reads its hash tile as indices and never writes to
+      it; the standard path never sees them.
 
     Rows are stored as owned copies and served as fresh matrices, so the
     cache is bit-transparent: hashing is deterministic, hence a hit is
@@ -408,19 +427,17 @@ def _chunk_hashes(
     return family.hash_outer(seeds, candidates, d_out)
 
 
-def _match_columns(hashes: np.ndarray, reported: np.ndarray) -> np.ndarray:
-    """Column indices of every ``hashes[i, j] == reported[i]`` match.
+def _tile_matches(tile: np.ndarray, reported: np.ndarray) -> np.ndarray:
+    """Per-column count of ``tile[i, j] == reported[i]``.
 
-    XORs the reported values into the chunk **in place** (the chunk is
-    owned by the caller and never reused), then reads off the zero
-    positions: one 1-byte mask and one sparse index array instead of a
-    full-matrix reduction.
+    One 1-byte equality mask, summed down the report axis through its
+    uint8 view.  The per-tile sum is int32 whenever the tile has fewer
+    than ``2^31`` rows (a column count cannot then overflow it); callers
+    accumulate into int64.
     """
-    hashes ^= reported[:, None]
-    matches = np.flatnonzero(hashes.ravel() == 0)
-    if matches.size:
-        matches %= hashes.shape[1]
-    return matches
+    mask = np.equal(tile, reported[:, None])
+    dtype = np.int32 if tile.shape[0] < (1 << 31) else np.int64
+    return np.add.reduce(mask.view(np.uint8), axis=0, dtype=dtype)
 
 
 def support_counts_kernel(
@@ -443,9 +460,13 @@ def support_counts_kernel(
     on every execution path.  ``chunk_bytes=None`` means the calibrated
     process-wide budget (:func:`active_chunk_bytes`).
 
+    A reported value outside ``[0, d_out)`` raises ``ValueError`` on every
+    path: the unique-seed table would otherwise alias it into a
+    neighbouring seed's row, where the standard path would drop it.
+
     ``seed_cache`` serves/collects per-seed hash rows across calls; it
     only engages on the unique-seed path (whose gather never mutates its
-    hash chunk) for uint32-comparable domains, and it steers planning
+    hash tile) for uint32-comparable domains, and it steers planning
     toward that path (``prefer_unique``) so first-sight seeds populate
     rows for later flushes.  The caller owns keeping the candidate set
     fixed per cache (see :class:`SeedRowCache`).
@@ -460,6 +481,11 @@ def support_counts_kernel(
     candidates = np.asarray(candidates)
     n = len(seeds)
     n_candidates = len(candidates)
+    if reported.size:
+        low, high = int(reported.min()), int(reported.max())
+        if low < 0 or high >= d_out:
+            bad = low if low < 0 else high
+            raise ValueError(f"reported value {bad} outside [0, {d_out})")
     counts = np.zeros(n_candidates, dtype=np.int64)
     if n == 0 or n_candidates == 0:
         return counts
@@ -511,13 +537,11 @@ def support_counts_kernel(
 
     if plan.orientation == "candidates":
         for start, stop in chunk_spans(n_candidates, plan.chunk):
-            hashes = _chunk_hashes(family, seeds, candidates[start:stop], d_out)
-            matches = _match_columns(hashes, reported_cmp)
-            counts[start:stop] += np.bincount(matches, minlength=stop - start)
+            tile = _chunk_hashes(family, seeds, candidates[start:stop], d_out)
+            counts[start:stop] += _tile_matches(tile, reported_cmp)
         return counts
 
     for start, stop in chunk_spans(n, plan.chunk):
-        hashes = _chunk_hashes(family, seeds[start:stop], candidates, d_out)
-        matches = _match_columns(hashes, reported_cmp[start:stop])
-        counts += np.bincount(matches, minlength=n_candidates)
+        tile = _chunk_hashes(family, seeds[start:stop], candidates, d_out)
+        counts += _tile_matches(tile, reported_cmp[start:stop])
     return counts

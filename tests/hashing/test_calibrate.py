@@ -31,6 +31,13 @@ class TestCalibrateKernel:
         assert all(seconds > 0 for __, seconds in calibration.probes)
         assert "family=" in calibration.workload
 
+    def test_default_ladder_starts_at_static_default(self):
+        """``"auto"`` must be able to pick the default tile itself."""
+        from repro.hashing.calibrate import _LADDER
+        from repro.hashing.kernels import DEFAULT_CHUNK_BYTES
+
+        assert _LADDER[0] == DEFAULT_CHUNK_BYTES == min(_LADDER)
+
     def test_validates_inputs(self):
         with pytest.raises(ValueError):
             calibrate_kernel(repeats=0)

@@ -106,6 +106,22 @@ class TestCrossPathAgreement:
         )
 
 
+class TestModDOutU32:
+    """The libdivide remainder ``h - (h // d) * d`` is exactly ``h % d``."""
+
+    @pytest.mark.parametrize(
+        "d_out",
+        [1, 2, 3, 7, 13, 16, 1023, (1 << 31) - 1, 1 << 31, (1 << 32) - 1],
+    )
+    def test_matches_remainder_on_edge_values(self, d_out):
+        from repro.hashing.families import _mod_d_out_u32
+
+        hashes = np.array([0, 1, 1 << 31, (1 << 32) - 1], dtype=np.uint32)
+        reduced = _mod_d_out_u32(hashes, d_out)
+        assert reduced.dtype == np.uint32
+        assert reduced.tolist() == [int(h) % d_out for h in hashes]
+
+
 class TestRange:
     @pytest.mark.parametrize("d_out", [2, 3, 7, 16, 257])
     def test_output_in_range(self, family, rng, d_out):

@@ -6,6 +6,7 @@ import pytest
 from repro.hashing import (
     CarterWegmanHashFamily,
     MultiplyShiftHashFamily,
+    SeedRowCache,
     XXHash32Family,
     chunk_spans,
     plan_support_counts,
@@ -129,6 +130,78 @@ class TestBitIdentity:
         assert counts.shape == (0,)
 
 
+class TestTileEdges:
+    """Ragged last tiles and stripes at the default cache-sized budget."""
+
+    @pytest.mark.parametrize("d_out", [1, 2, 7, 16])
+    def test_three_tiles_plus_one_row(self, family, rng, d_out):
+        d = 1024
+        rows = plan_support_counts(1 << 20, d, d_out).chunk
+        n = 3 * rows + 1
+        plan = plan_support_counts(n, d, d_out)
+        assert plan.orientation == "reports" and plan.chunk == rows
+        seeds = family.sample_seeds(n, rng)
+        reported = rng.integers(0, d_out, n)
+        candidates = np.arange(d)
+        counts = support_counts_kernel(
+            family, seeds, reported, candidates, d_out
+        )
+        assert counts.tolist() == naive_counts(
+            family, seeds, reported, candidates, d_out
+        ).tolist()
+
+    def test_pinned_candidate_major_ragged_stripe(self, family, rng):
+        n, d, d_out = 193, 1024, 7
+        plan = plan_support_counts(n, d, d_out, chunk_bytes=5000)
+        assert plan.orientation == "candidates"
+        assert d % plan.chunk != 0
+        seeds = family.sample_seeds(n, rng)
+        reported = rng.integers(0, d_out, n)
+        candidates = np.arange(d)
+        counts = support_counts_kernel(
+            family, seeds, reported, candidates, d_out, plan=plan
+        )
+        assert counts.tolist() == naive_counts(
+            family, seeds, reported, candidates, d_out
+        ).tolist()
+
+
+class TestReportedRange:
+    """Out-of-range reported values raise on every path.
+
+    On the unique-seed path the multiplicity-table index
+    ``seed_index * d_out + y`` would otherwise alias a bad ``y`` into a
+    neighbouring seed's row, while the standard path silently dropped it.
+    """
+
+    def _reports(self, rng):
+        family = XXHash32Family()
+        seeds = np.repeat(family.sample_seeds(20, rng), 2)
+        reported = rng.integers(0, 4, len(seeds))
+        return family, seeds, reported, np.arange(100)
+
+    @pytest.mark.parametrize("bad", [4, -1])
+    def test_unique_path_rejects(self, rng, bad):
+        family, seeds, reported, candidates = self._reports(rng)
+        assert plan_support_counts(
+            len(seeds), len(candidates), 4, n_unique=20
+        ).orientation == "unique"
+        reported[5] = bad
+        with pytest.raises(ValueError, match=f"reported value {bad} "):
+            support_counts_kernel(family, seeds, reported, candidates, 4)
+
+    @pytest.mark.parametrize("bad", [4, -1])
+    def test_standard_path_rejects(self, rng, bad):
+        family, seeds, reported, candidates = self._reports(rng)
+        plan = plan_support_counts(len(seeds), len(candidates), 4)
+        assert plan.orientation == "reports"
+        reported[5] = bad
+        with pytest.raises(ValueError, match=f"reported value {bad} "):
+            support_counts_kernel(
+                family, seeds, reported, candidates, 4, plan=plan
+            )
+
+
 class TestPlan:
     def test_full_matrix_fits_one_chunk(self):
         plan = plan_support_counts(1_000, 10, 16)
@@ -171,6 +244,32 @@ class TestPlan:
         assert counts.tolist() == naive_counts(
             family, seeds, reported, candidates, 8
         ).tolist()
+
+
+class TestUniqueTableGate:
+    def test_seed_cache_engages_at_default_budget(self, rng):
+        """The multiplicity-table gate is not the (cache-sized) tile budget.
+
+        At a wide-fold shape the 1 MiB table is far above the default
+        tile, yet grouping — and with it a configured seed cache — must
+        stay on: a re-fold of the same reports is served from the cache.
+        """
+        n, d, d_out = 8192, 1024, 16
+        plan = plan_support_counts(n, d, d_out, n_unique=n, prefer_unique=True)
+        assert plan.orientation == "unique"
+        family = XXHash32Family()
+        seeds = family.sample_seeds(n, rng)
+        reported = rng.integers(0, d_out, n)
+        candidates = np.arange(d)
+        cache = SeedRowCache(n * d * 4)
+        first = support_counts_kernel(
+            family, seeds, reported, candidates, d_out, seed_cache=cache
+        )
+        refold = support_counts_kernel(
+            family, seeds, reported, candidates, d_out, seed_cache=cache
+        )
+        assert cache.hits == len(np.unique(seeds))
+        assert refold.tobytes() == first.tobytes()
 
 
 class TestGroupingProbe:
