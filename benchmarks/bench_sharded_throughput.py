@@ -12,26 +12,17 @@ release side (fake injection + permutation + decode + the O(n*d)
 support-count kernel) is vectorized numpy, so the transport is the
 remaining memory-movement cost the shm path eliminates.
 
-Two more experiments ride along.  The **statistical path** folds the
+One more experiment rides along.  The **statistical path** folds the
 serial run's flush schedule through
 :meth:`repro.service.IncrementalAggregator.fold_histogram` — the O(d)
 closed-form sampling route used for paper-scale simulation, which never
-materializes a report — and records its rate.  The cross-flush
-**seed-row cache**
-(:class:`repro.hashing.kernels.SeedRowCache`) is measured on a
-retained report set folded repeatedly — the documented O(u*d) re-aggregation workload where
-every seed after the first pass is a repeat — once with the cache off
-and once with it on, asserting equal counts and recording the speedup
-and hit rate.
+materializes a report — and records its rate.
 
 Correctness gates in ``extra``:
 
 * ``estimates_identical`` — serial, pickle-transport, and shm-transport
   estimates all match byte for byte (the determinism contract);
-* ``seed_cache_identical`` — cached folds reproduce uncached counts
-  exactly;
-* transport telemetry — ``bytes_moved``, ``shm_peak_bytes``,
-  ``seed_cache_hit_rate``.
+* transport telemetry — ``bytes_moved``, ``shm_peak_bytes``.
 
 Pools are spawned and warmed *before* timing, so the ratios measure
 folding, not process start-up.  Scale knobs are shared with the other
@@ -73,20 +64,6 @@ BASE_EPOCH_SIZE = 200_000  # at scale 1.0; the SOLH fold path costs
 DELTA = 1e-9
 EPS_TARGETS = (1.0, 3.0, 6.0)
 ZIPF_EXPONENT = 1.3
-#: repeated folds of the retained report set in the seed-cache experiment
-#: — enough repeats that the first (all-miss, cache-filling) fold's cost
-#: amortizes the way it does in real candidate re-scoring loops
-CACHE_FOLDS = 8
-#: seed-row-cache budget for the cache experiment — sized to hold the
-#: full working set (CACHE_REPORTS_BASE rows of 4*CACHE_D bytes); an LRU
-#: smaller than the repeat-fold working set would thrash to a ~0% hit rate
-CACHE_BYTES = 128 << 20
-#: the cache experiment's candidate domain — wide on purpose: cached rows
-#: replace O(d) hash evaluations, so the win scales with d (succinct-
-#: histogram-style re-aggregation), while the transport experiment above
-#: stays on the streaming config's narrow domain
-CACHE_D = 1024
-CACHE_REPORTS_BASE = 20_000  # at scale 1.0
 
 
 def fmt_speedup(value) -> str:
@@ -151,59 +128,6 @@ def _statistical_path_experiment(
     }
 
 
-def _seed_cache_experiment() -> dict:
-    """Fold one retained report set ``CACHE_FOLDS`` times, cache off vs on.
-
-    The repeat-seed workload the kernel docs advertise: after the first
-    pass every distinct seed is already cached, so the remaining folds
-    replace their O(d) hash evaluations with row copies.  Counts must be
-    bit-identical either way.
-    """
-    from repro.frequency_oracles import OLH
-    from repro.hashing import XXHash32Family
-
-    n_reports = max(1_000, int(CACHE_REPORTS_BASE * bench_scale()))
-    fo_off = OLH(d=CACHE_D, eps=3.0, family=XXHash32Family())
-    fo_on = OLH(d=CACHE_D, eps=3.0, family=XXHash32Family())
-    fo_on.configure_kernel(seed_cache_bytes=CACHE_BYTES)
-    data_rng = np.random.default_rng(bench_seed())
-    values = data_rng.integers(0, CACHE_D, n_reports)
-    reports = fo_off.privatize(values, np.random.default_rng(bench_seed()))
-
-    def fold_loop(fo):
-        started = time.perf_counter()
-        totals = None
-        for __ in range(CACHE_FOLDS):
-            counts = fo.support_counts(reports)
-            totals = counts if totals is None else totals + counts
-        return totals, time.perf_counter() - started
-
-    # Warm both paths before timing: numpy/code paths for the plain
-    # loop, and the cache itself for the cached loop — the cache is a
-    # *cross-flush* structure, so its steady state (rows populated by
-    # earlier flushes) is the state being measured, not the first-ever
-    # fill.  The fill cost shows up in the recorded hit rate instead.
-    fold_loop(fo_off)
-    fold_loop(fo_on)
-    off_counts, off_s = fold_loop(fo_off)
-    on_counts, on_s = fold_loop(fo_on)
-    cache = fo_on.seed_cache
-    return {
-        "folds": CACHE_FOLDS,
-        "reports": n_reports,
-        "identical": bool(
-            off_counts.tobytes() == on_counts.tobytes()
-        ),
-        "d": CACHE_D,
-        "off_wall_seconds": off_s,
-        "on_wall_seconds": on_s,
-        "speedup": off_s / on_s if on_s > 0 else None,
-        "hit_rate": cache.hit_rate,
-        "cached_rows": len(cache),
-        "cached_bytes": cache.nbytes,
-    }
-
-
 def _experiment() -> BenchResult:
     shards = bench_shards()
     epoch_size = max(2_000, int(BASE_EPOCH_SIZE * bench_scale()))
@@ -247,7 +171,6 @@ def _experiment() -> BenchResult:
     shm_vs_pickle = pickle_s / shm_s if shm_s > 0 else None
 
     statistical = _statistical_path_experiment(config, epoch_size, flush_size)
-    cache = _seed_cache_experiment()
 
     extra = {
         "mechanism": config.plan.mechanism,
@@ -282,10 +205,6 @@ def _experiment() -> BenchResult:
         "bytes_moved": shm_stats["bytes_moved"],
         "shm_peak_bytes": shm_stats["shm_peak_bytes"],
         "statistical_path": statistical,
-        "seed_cache_identical": cache["identical"],
-        "seed_cache_speedup": cache["speedup"],
-        "seed_cache_hit_rate": cache["hit_rate"],
-        "seed_cache": cache,
     }
 
     def rate(value) -> str:
@@ -315,10 +234,6 @@ def _experiment() -> BenchResult:
         f"statistical path (fold_histogram, O(d) per fold): "
         f"{rate(statistical['reports_per_sec'])} over "
         f"{statistical['folds']} closed-form folds\n"
-        f"seed cache ({cache['folds']} folds of {cache['reports']} retained "
-        f"reports): {fmt_speedup(cache['speedup'])} vs cache-off, "
-        f"hit rate {cache['hit_rate']:.2f}, counts identical: "
-        f"{'yes' if cache['identical'] else 'NO — CACHE CORRUPTION'}\n"
         f"estimates byte-identical across serial/pickle/shm: "
         f"{'yes' if identical else 'NO — DETERMINISM VIOLATION'}"
     )
@@ -326,14 +241,11 @@ def _experiment() -> BenchResult:
 
 
 def bench_sharded_throughput(benchmark):
-    """Measure transport + cache fold throughput against the serial path."""
+    """Measure transport fold throughput against the serial path."""
     result = run_once(benchmark, _experiment)
     emit("sharded_throughput", result)
     assert result.extra["estimates_identical"], (
         "sharded estimates differ across the serial/pickle/shm runs"
-    )
-    assert result.extra["seed_cache_identical"], (
-        "seed-row cache changed support counts"
     )
     assert result.extra["released_reports"] > 0
 

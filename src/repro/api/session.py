@@ -50,27 +50,20 @@ def _resume_stream(store, stream_options: dict):
 
     The server's self-healing path: the deployment parameters live in
     the store's snapshot (they must match the crashed run bit for bit),
-    while the execution layout — shards, fold backend, transport, kernel
-    knobs, fault-tolerance knobs — is re-derived from the same options
+    while the execution layout — shards, fold backend, transport,
+    fault-tolerance knobs — is re-derived from the same options
     :meth:`ShuffleSession.serve` forwarded to the original
     :meth:`ShuffleSession.stream` call, so the recovered pipeline runs
     the way the operator configured it.
     """
     from ..service.sharded import ShardedPipeline
 
-    chunk_bytes = stream_options.get("chunk_bytes")
-    if chunk_bytes is not None:
-        from ..hashing.calibrate import resolve_chunk_bytes
-
-        chunk_bytes = resolve_chunk_bytes(chunk_bytes, store=store)
     return ShardedPipeline.resume(
         store,
         n_shards=int(stream_options.get("shards", 1)),
         fold_backend=stream_options.get("backend", "serial"),
         workers=stream_options.get("fold_workers"),
         transport=stream_options.get("transport", "shm"),
-        chunk_bytes=chunk_bytes,
-        seed_cache_bytes=int(stream_options.get("seed_cache_bytes", 0)),
         fold_timeout=stream_options.get("fold_timeout"),
         max_fold_retries=int(stream_options.get("fold_retries", 2)),
         degrade=bool(stream_options.get("degrade", True)),
@@ -267,8 +260,6 @@ class ShuffleSession:
         backend: str = "serial",
         fold_workers: Optional[int] = None,
         transport: str = "shm",
-        chunk_bytes=None,
-        seed_cache_bytes: int = 0,
         fold_timeout: Optional[float] = None,
         fold_retries: int = 2,
         degrade: bool = True,
@@ -310,16 +301,9 @@ class ShuffleSession:
         run crash-safe and resumable via ``ShardedPipeline.resume``
         (CLI: ``repro stream --state-db PATH --resume``).
 
-        Kernel tuning (pure execution knobs — estimates are
-        bit-identical at any setting): ``chunk_bytes`` pins the
-        support-count kernel's chunk budget, or the string ``"auto"``
-        runs the one-shot timed calibration
-        (:func:`repro.hashing.calibrate.ensure_calibration` — persisted
-        in ``store`` when one is given, so later runs skip the probe);
-        ``seed_cache_bytes > 0`` enables the cross-flush seed-row cache
-        at that byte budget; ``transport`` picks how process folds
-        receive payloads — zero-copy ``"shm"`` (the default) or legacy
-        ``"pickle"`` (CLI: ``--no-shm``).
+        ``transport`` picks how process folds receive payloads —
+        zero-copy ``"shm"`` (the default) or legacy ``"pickle"`` (CLI:
+        ``--no-shm``); estimates are bit-identical either way.
 
         Fault tolerance (process folding only; inline serial folds
         have no worker to supervise):
@@ -353,17 +337,6 @@ class ShuffleSession:
             raise ConfigError(
                 "fold_retries", f"must be >= 0, got {fold_retries}"
             )
-        if chunk_bytes is not None:
-            from ..hashing.calibrate import resolve_chunk_bytes
-
-            try:
-                chunk_bytes = resolve_chunk_bytes(chunk_bytes, store=store)
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    "chunk_bytes",
-                    f"must be a positive byte count or 'auto', "
-                    f"got {chunk_bytes!r}",
-                ) from None
         if self.budget.model == "local":
             raise ConfigError(
                 "model",
@@ -445,8 +418,6 @@ class ShuffleSession:
             backend=backend_instance,
             store=store,
             transport=transport,
-            chunk_bytes=chunk_bytes,
-            seed_cache_bytes=seed_cache_bytes,
             fold_timeout=fold_timeout,
             max_fold_retries=fold_retries,
             degrade=degrade,

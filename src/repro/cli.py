@@ -178,17 +178,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     if args.crash_after_epoch is not None and args.crash_after_epoch < 1:
         print("error: --crash-after-epoch must be >= 1", file=sys.stderr)
         return 2
-    if args.chunk_bytes is not None and args.chunk_bytes != "auto":
-        try:
-            if int(args.chunk_bytes) < 1:
-                raise ValueError
-        except ValueError:
-            print("error: --chunk-bytes must be a positive byte count or "
-                  "'auto'", file=sys.stderr)
-            return 2
-    if args.seed_cache_bytes is not None and args.seed_cache_bytes < 0:
-        print("error: --seed-cache-bytes must be >= 0", file=sys.stderr)
-        return 2
     if args.fail_point:
         from repro.faults import install
 
@@ -230,8 +219,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                     backend=args.fold_backend,
                     fold_workers=args.fold_workers,
                     transport="pickle" if args.no_shm else "shm",
-                    chunk_bytes=args.chunk_bytes,
-                    seed_cache_bytes=args.seed_cache_bytes or 0,
                     fold_timeout=args.fold_timeout,
                     fold_retries=args.fold_retries,
                     degrade=not args.no_degrade,
@@ -326,16 +313,12 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         else:
             print("  (no flush was admitted)")
 
-        # Transport / cache / fault telemetry, so operators see how the
-        # folds ran without running benches.
+        # Transport / fault telemetry, so operators see how the folds ran
+        # without running benches.
         stats = pipeline.transport_stats()
         print(f"\ntransport ({stats['transport']}): "
               f"{stats['bytes_moved']:,} payload bytes moved, "
               f"shm peak {stats['shm_peak_bytes']:,} bytes")
-        stats = pipeline.seed_cache_stats()
-        if stats["lookups"]:
-            print(f"seed cache: {stats['hits']:,}/{stats['lookups']:,} "
-                  f"row hits ({stats['hit_rate']:.1%})")
         stats = pipeline.fault_stats()
         if any(stats[k] for k in ("fold_retries", "fold_timeouts",
                                   "worker_deaths", "pool_rebuilds",
@@ -382,17 +365,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.budget_epochs < 1:
         print("error: --budget-epochs must be >= 1", file=sys.stderr)
         return 2
-    if args.chunk_bytes is not None and args.chunk_bytes != "auto":
-        try:
-            if int(args.chunk_bytes) < 1:
-                raise ValueError
-        except ValueError:
-            print("error: --chunk-bytes must be a positive byte count or "
-                  "'auto'", file=sys.stderr)
-            return 2
-    if args.seed_cache_bytes is not None and args.seed_cache_bytes < 0:
-        print("error: --seed-cache-bytes must be >= 0", file=sys.stderr)
-        return 2
 
     if args.fail_point:
         from repro.faults import install
@@ -427,8 +399,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         backend=args.fold_backend,
         fold_workers=args.fold_workers,
         transport="pickle" if args.no_shm else "shm",
-        chunk_bytes=args.chunk_bytes,
-        seed_cache_bytes=args.seed_cache_bytes or 0,
         fold_timeout=args.fold_timeout,
         fold_retries=args.fold_retries,
         degrade=not args.no_degrade,
@@ -481,11 +451,9 @@ async def _serve_until_signal(server) -> int:
 def _resume_stream_pipeline(args: argparse.Namespace, store):
     """Rebuild the persisted run under the requested execution layout.
 
-    The layout — shards, transport, kernel tuning — is chosen fresh on
-    every resume (it never affects estimates); ``--chunk-bytes auto``
-    reuses the calibration persisted in the store when one exists.
+    The layout — shards, transport, fault tolerance — is chosen fresh on
+    every resume (it never affects estimates).
     """
-    from repro.hashing.calibrate import resolve_chunk_bytes
     from repro.service import ShardedPipeline
 
     return ShardedPipeline.resume(
@@ -494,8 +462,6 @@ def _resume_stream_pipeline(args: argparse.Namespace, store):
         fold_backend=args.fold_backend,
         workers=args.fold_workers,
         transport="pickle" if args.no_shm else "shm",
-        chunk_bytes=resolve_chunk_bytes(args.chunk_bytes, store=store),
-        seed_cache_bytes=args.seed_cache_bytes or 0,
         fold_timeout=args.fold_timeout,
         max_fold_retries=args.fold_retries,
         degrade=not args.no_degrade,
@@ -577,15 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="serial",
                    help="fold executor: inline, or a spawn-safe process "
                         "pool (requires --backend plain)")
-    p.add_argument("--chunk-bytes", default=None, metavar="BYTES",
-                   help="support-count kernel chunk budget in bytes, or "
-                        "'auto' to run the one-shot timed calibration "
-                        "(reused from --state-db when one is given)")
-    p.add_argument("--seed-cache-bytes", type=int, default=None,
-                   metavar="BYTES",
-                   help="enable the cross-flush seed-row cache at this "
-                        "byte budget (0 disables; estimates are "
-                        "bit-identical either way)")
     p.add_argument("--no-shm", action="store_true",
                    help="ship process-fold batches by pickling instead of "
                         "zero-copy shared memory (bit-identical, slower)")
@@ -681,10 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-shm", action="store_true",
                    help="ship process-fold batches by pickling instead of "
                         "zero-copy shared memory")
-    p.add_argument("--chunk-bytes", default=None, metavar="BYTES",
-                   help="support-count kernel chunk budget, or 'auto'")
-    p.add_argument("--seed-cache-bytes", type=int, default=None,
-                   metavar="BYTES")
     p.add_argument("--state-db", default=None, metavar="PATH",
                    help="journal durable state to this SQLite file "
                         "(opened on the server's ingest thread)")

@@ -71,29 +71,6 @@ class FrequencyOracle(ABC):
     def estimate(self, counts: np.ndarray, n: int) -> np.ndarray:
         """Debias support counts from ``n`` reports into frequency estimates."""
 
-    # -- execution tuning --------------------------------------------------
-
-    def configure_kernel(
-        self,
-        chunk_bytes: Optional[int] = None,
-        seed_cache_bytes: Optional[int] = None,
-    ) -> None:
-        """Adopt execution tuning for the support-count hot path.
-
-        Pure execution knobs — estimates are bit-identical at any
-        setting, so this never participates in :meth:`parameter_tuple`.
-        The base oracle has no tunable kernel; mechanisms that route
-        through :func:`repro.hashing.kernels.support_counts_kernel`
-        (the local-hashing family) override this.  ``None`` leaves a
-        knob untouched.
-        """
-
-    @property
-    def seed_cache(self):
-        """The oracle's :class:`~repro.hashing.kernels.SeedRowCache`,
-        if one is configured (local-hashing only); ``None`` otherwise."""
-        return None
-
     # -- compatibility -----------------------------------------------------
 
     def parameter_tuple(self) -> tuple:

@@ -22,11 +22,7 @@ import numpy as np
 
 from ..core.amplification import ShuffleAmplification, resolve_solh
 from ..hashing import HashFamily, default_family
-from ..hashing.kernels import SeedRowCache, support_counts_kernel
-
-#: largest seed space the seed-row cache supports — beyond it seeds
-#: essentially never recur and the encode path leaves the int64 fast path
-_CACHEABLE_SEED_SPACE = 1 << 32
+from ..hashing.kernels import support_counts_kernel
 from .base import (
     ArrayLike,
     FrequencyOracle,
@@ -66,9 +62,8 @@ class LocalHashingOracle(FrequencyOracle):
         self.d_prime = int(d_prime)
         self.family = family if family is not None else default_family()
         self.p, self.q = perturbation_probabilities(eps, d_prime)
-        #: None defers to the kernel's active (possibly calibrated) budget
+        #: None means the kernel's default tile budget
         self._chunk_bytes = chunk_bytes
-        self._seed_cache: Optional[SeedRowCache] = None
 
     def __repr__(self) -> str:
         return (
@@ -92,40 +87,6 @@ class LocalHashingOracle(FrequencyOracle):
         """Blanket mass ``gamma = d' q`` of the hashed-value GRR."""
         return self.d_prime * self.q
 
-    # -- execution tuning --------------------------------------------------
-
-    def configure_kernel(
-        self,
-        chunk_bytes: Optional[int] = None,
-        seed_cache_bytes: Optional[int] = None,
-    ) -> None:
-        """Adopt kernel tuning: chunk budget and/or a seed-row cache.
-
-        ``seed_cache_bytes > 0`` builds a fresh
-        :class:`~repro.hashing.kernels.SeedRowCache` — but only for seed
-        spaces up to 32 bits, where seeds actually recur; wider families
-        silently keep ``seed_cache=None`` (the advertised "off outside
-        the int64 fast path" default).  ``seed_cache_bytes=0`` removes an
-        existing cache; ``None`` leaves either knob untouched.  Pure
-        execution tuning: bit-identical counts either way.
-        """
-        if chunk_bytes is not None:
-            self._chunk_bytes = int(chunk_bytes)
-        if seed_cache_bytes is not None:
-            seed_cache_bytes = int(seed_cache_bytes)
-            if (
-                seed_cache_bytes > 0
-                and self.family.seed_space <= _CACHEABLE_SEED_SPACE
-            ):
-                self._seed_cache = SeedRowCache(seed_cache_bytes)
-            else:
-                self._seed_cache = None
-
-    @property
-    def seed_cache(self) -> Optional[SeedRowCache]:
-        """The configured cross-flush seed-row cache, if any."""
-        return self._seed_cache
-
     def privatize(
         self, values: ArrayLike, rng: np.random.Generator
     ) -> LocalHashReports:
@@ -143,18 +104,12 @@ class LocalHashingOracle(FrequencyOracle):
     ) -> np.ndarray:
         """Count reports with ``H_i(v) == y_i`` for each candidate ``v``.
 
-        Delegates to the shared low-allocation kernel
+        Delegates to the shared kernel
         (:func:`repro.hashing.kernels.support_counts_kernel`): uint32
-        tiles sized by ``chunk_bytes``, an axis-0 match count, and
-        a unique-seed fast path for 32-bit seed spaces — bit-identical to
-        the naive materialize-compare-sum evaluation on every path.  This
-        is the O(n*d) server-side hot path.
+        tiles sized by ``chunk_bytes`` and an axis-0 match count —
+        bit-identical to the naive materialize-compare-sum evaluation in
+        either orientation.  This is the O(n*d) server-side hot path.
         """
-        # The seed cache is only sound for a fixed candidate set; the
-        # default full-domain arange(d) is the one set the cache identity
-        # (family, d', candidate count) pins, so explicit candidate
-        # subsets bypass it.
-        seed_cache = self._seed_cache if candidates is None else None
         if candidates is None:
             candidates = np.arange(self.d, dtype=np.int64)
         else:
@@ -166,7 +121,6 @@ class LocalHashingOracle(FrequencyOracle):
             candidates,
             self.d_prime,
             chunk_bytes=self._chunk_bytes,
-            seed_cache=seed_cache,
         )
         return counts.astype(float)
 

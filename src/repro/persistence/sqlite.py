@@ -17,7 +17,8 @@ together or not at all.
 Schema (version 1):
 
 * ``meta(key, value)`` — schema version, the JSON ``StreamConfig``
-  (plan included), the release-stream root entropy;
+  (plan included), the release-stream root entropy; rows under any
+  other key (older files may hold ``tuning:*`` rows) are never read;
 * ``flushes(sequence PK, epoch, trigger_kind, n_reports, n_fake,
   status, reports, counts, reject_reason)`` — the flush log; ``status``
   walks ``charged`` → ``released`` (or is terminally ``rejected``), raw
@@ -228,25 +229,6 @@ class SqliteStateStore(StateStore):
 
     def close(self) -> None:
         self._conn.close()
-
-    # -- advisory tuning ---------------------------------------------------
-
-    def record_tuning(self, name: str, payload: dict) -> None:
-        """Tuning records live as ``tuning:<name>`` JSON rows in ``meta``.
-
-        Deliberately outside the write-ahead protocol: a single
-        autocommit upsert, allowed before ``begin_run`` (calibration
-        typically runs while the deployment is being planned) and freely
-        overwritten on recalibration.
-        """
-        self._conn.execute(
-            "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
-            (f"tuning:{name}", json.dumps(payload)),
-        )
-
-    def load_tuning(self, name: str):
-        value = self._meta(f"tuning:{name}")
-        return None if value is None else json.loads(value)
 
     # -- protocol ----------------------------------------------------------
 

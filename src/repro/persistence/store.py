@@ -118,26 +118,6 @@ class StateStore(ABC):
         """The estimate vector committed when ``epoch`` closed."""
         raise NotImplementedError
 
-    # -- advisory tuning ---------------------------------------------------
-    #
-    # Execution-tuning records (e.g. the kernel calibration from
-    # ``repro.hashing.calibrate``) ride alongside the run but are *not*
-    # part of the write-ahead protocol: they may be written before
-    # ``begin_run``, survive independently of it, and only ever affect
-    # how fast estimates are computed — never what they are.  The base
-    # implementation keeps them in process memory; durable stores
-    # override both methods.
-
-    def record_tuning(self, name: str, payload: dict) -> None:
-        """Persist one named advisory tuning record (JSON-compatible)."""
-        if not hasattr(self, "_tuning_records"):
-            self._tuning_records: Dict[str, dict] = {}
-        self._tuning_records[name] = dict(payload)
-
-    def load_tuning(self, name: str) -> Optional[dict]:
-        """Read a tuning record back; ``None`` when never recorded."""
-        return getattr(self, "_tuning_records", {}).get(name)
-
     def close(self) -> None:  # pragma: no cover - trivial default
         """Release any underlying resources (idempotent)."""
 

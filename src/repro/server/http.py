@@ -11,7 +11,7 @@ Scope (all the front door needs, nothing more):
   ``max_header_bytes`` (431 beyond it), body capped at
   ``max_body_bytes`` (413 beyond it, connection closed since the unread
   payload cannot be trusted), ``Content-Length`` framing only
-  (chunked uploads get 501);
+  (chunked uploads get 501; a non-digit or repeated length gets 400);
 * JSON responses with explicit ``Content-Length`` and keep-alive
   handling (HTTP/1.1 persistent by default, ``Connection: close``
   honored, HTTP/1.0 closed by default);
@@ -178,7 +178,14 @@ async def read_request(
         name, separator, value = line.partition(":")
         if not separator:
             raise HttpError(400, f"malformed header {line!r}", close=True)
-        headers[name.strip().lower()] = value.strip()
+        name = name.strip().lower()
+        if name == "content-length" and name in headers:
+            # RFC 9112 section 6.3: conflicting or repeated lengths leave
+            # the body's end ambiguous — a framing error, not last-wins.
+            raise HttpError(
+                400, "repeated Content-Length header", close=True
+            )
+        headers[name] = value.strip()
 
     if "transfer-encoding" in headers:
         raise HttpError(
@@ -189,9 +196,11 @@ async def read_request(
     length_text = headers.get("content-length")
     if length_text is not None:
         try:
-            length = int(length_text)
-            if length < 0:
+            # ASCII digits only: int() alone would also take "+13", "1_3"
+            # and non-ASCII digits, none of which is a valid length.
+            if not (length_text.isascii() and length_text.isdigit()):
                 raise ValueError
+            length = int(length_text)  # raises past 4300 digits
         except ValueError:
             raise HttpError(
                 400, f"invalid Content-Length {length_text!r}", close=True

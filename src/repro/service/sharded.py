@@ -177,24 +177,17 @@ def _init_fold_worker(
     plan,
     backend_name: str,
     r: int,
-    chunk_bytes: Optional[int] = None,
-    seed_cache_bytes: int = 0,
 ) -> None:
     """Build one fold worker's oracle and backend (spawn-safe, runs once).
 
     Workers receive only picklable specs — the domain size, the
-    :class:`~repro.core.params.PeosPlan`, backend parameters, and the
-    kernel tuning knobs — and rebuild the oracle through the same
+    :class:`~repro.core.params.PeosPlan` and backend parameters — and
+    rebuild the oracle through the same
     :func:`~repro.service.pipeline.oracle_from_plan` registry path the
-    parent used, so both sides hold identical estimators.  Each worker
-    owns its own seed-row cache (caches are per-process working sets,
-    never shared or persisted).
+    parent used, so both sides hold identical estimators.
     """
     global _WORKER_STATE
     fo = oracle_from_plan(d, plan)
-    fo.configure_kernel(
-        chunk_bytes=chunk_bytes, seed_cache_bytes=seed_cache_bytes
-    )
     backend = make_backend(backend_name, r=r)
     backend.prepare(fo, np.random.default_rng(0))
     _WORKER_STATE = (fo, backend)
@@ -209,13 +202,9 @@ def _metered_fold(
     sequence: int, reports: np.ndarray, n_reports: int, n_fake: int,
     entropy: tuple,
 ):
-    """:func:`release_counts` in a worker, metered for the parent.
+    """:func:`release_counts` in a worker, timed for the parent.
 
-    Returns ``(support_counts, elapsed_seconds, (cache_hit_delta,
-    cache_lookup_delta))`` — deltas, not totals, because one long-lived
-    worker folds batches for many shards and the parent sums per-fold.
-    The parent never meters its own folds this way: it reads its cache
-    directly in :meth:`ShardedPipeline.seed_cache_stats`.
+    Returns ``(support_counts, elapsed_seconds)``.
     """
     # Chaos seam: fires *before* any work, so an injected kill/raise can
     # never half-fold — a retry recomputes the identical pure function.
@@ -223,19 +212,11 @@ def _metered_fold(
     # fire on the serial degradation rung.
     fail_point("fold.worker", sequence=sequence)
     fo, backend = _WORKER_STATE
-    cache = fo.seed_cache
-    hits_before = cache.hits if cache is not None else 0
-    lookups_before = cache.lookups if cache is not None else 0
     started = time.perf_counter()
     __, counts = release_counts(
         fo, backend, sequence, reports, n_reports, n_fake, entropy
     )
-    elapsed = time.perf_counter() - started
-    if cache is None:
-        return counts, elapsed, (0, 0)
-    return counts, elapsed, (
-        cache.hits - hits_before, cache.lookups - lookups_before
-    )
+    return counts, time.perf_counter() - started
 
 
 def _fold_block(
@@ -317,8 +298,6 @@ class ShardedPipeline:
         clock: Callable[[], float] = time.perf_counter,
         store: Optional[StateStore] = None,
         transport: str = "shm",
-        chunk_bytes: Optional[int] = None,
-        seed_cache_bytes: int = 0,
         fold_timeout: Optional[float] = None,
         max_fold_retries: int = 2,
         degrade: bool = True,
@@ -339,17 +318,6 @@ class ShardedPipeline:
                 "transport",
                 f"unknown fold transport {transport!r} "
                 f"(registered: {', '.join(TRANSPORTS)})",
-            )
-        # Kernel tuning is execution layout, not deployment identity:
-        # deliberately constructor kwargs rather than StreamConfig fields,
-        # so persisted runs carry no tuning and resume may retune freely.
-        if chunk_bytes is not None and int(chunk_bytes) < 1:
-            raise ConfigError(
-                "chunk_bytes", f"must be >= 1, got {chunk_bytes}"
-            )
-        if int(seed_cache_bytes) < 0:
-            raise ConfigError(
-                "seed_cache_bytes", f"must be >= 0, got {seed_cache_bytes}"
             )
         if fold_timeout is not None and not float(fold_timeout) > 0.0:
             raise ConfigError(
@@ -390,8 +358,6 @@ class ShardedPipeline:
         self.n_shards = int(n_shards)
         self.fold_backend = fold_backend
         self.transport = transport
-        self.chunk_bytes = None if chunk_bytes is None else int(chunk_bytes)
-        self.seed_cache_bytes = int(seed_cache_bytes)
         self.fold_timeout = (
             None if fold_timeout is None else float(fold_timeout)
         )
@@ -407,10 +373,6 @@ class ShardedPipeline:
                 int(word) for word in _snapshot.release_entropy
             )
         self.fo = oracle_from_plan(config.d, config.plan)
-        self.fo.configure_kernel(
-            chunk_bytes=self.chunk_bytes,
-            seed_cache_bytes=self.seed_cache_bytes,
-        )
         # Shared memory carries flat int64 buffers only; the object-dtype
         # ordinal fallback (report spaces past 2^62) keeps the pickle
         # transport, bit-identically.
@@ -419,8 +381,6 @@ class ShardedPipeline:
         )
         self._shm_pool: Optional[SharedMemoryPool] = None
         self._bytes_moved = 0
-        self._worker_cache_hits = 0
-        self._worker_cache_lookups = 0
         #: once True, admitted batches fold inline in the parent — the
         #: terminal rung of the degradation ladder
         self._serial_fallback = False
@@ -484,8 +444,6 @@ class ShardedPipeline:
         backend: Optional[ShuffleBackend] = None,
         clock: Callable[[], float] = time.perf_counter,
         transport: str = "shm",
-        chunk_bytes: Optional[int] = None,
-        seed_cache_bytes: int = 0,
         fold_timeout: Optional[float] = None,
         max_fold_retries: int = 2,
         degrade: bool = True,
@@ -506,10 +464,8 @@ class ShardedPipeline:
           subsequent draw match an uninterrupted run at the same seed.
 
         The execution layout (``n_shards``, ``fold_backend``,
-        ``workers``, ``transport``, and the kernel and fault-tolerance
-        knobs) is chosen fresh — it never affects estimates, and a
-        seed-row cache in particular is a process-local working set
-        rebuilt from scratch, never persisted.
+        ``workers``, ``transport``, and the fault-tolerance knobs) is
+        chosen fresh — it never affects estimates.
         """
         snapshot = store.load_run()
         rng = generator_from_state(snapshot.rng_state)
@@ -523,8 +479,6 @@ class ShardedPipeline:
             clock=clock,
             store=store,
             transport=transport,
-            chunk_bytes=chunk_bytes,
-            seed_cache_bytes=seed_cache_bytes,
             fold_timeout=fold_timeout,
             max_fold_retries=max_fold_retries,
             degrade=degrade,
@@ -551,8 +505,6 @@ class ShardedPipeline:
                     self.config.plan,
                     self.config.backend,
                     self.config.r,
-                    self.chunk_bytes,
-                    self.seed_cache_bytes,
                 ),
             )
         return self._executor
@@ -819,13 +771,6 @@ class ShardedPipeline:
             self.released_batches.append(decoded)
         self._commit_fold(batch, counts, self.clock() - started)
 
-    def _collect(self, batch: FlushBatch, outcome: tuple) -> None:
-        """Commit one finished worker fold and its seed-cache deltas."""
-        counts, elapsed, (hits, lookups) = outcome
-        self._worker_cache_hits += hits
-        self._worker_cache_lookups += lookups
-        self._commit_fold(batch, counts, elapsed)
-
     def _commit_fold(self, flush, counts: np.ndarray, elapsed: float) -> None:
         """Fold a released flush's counts into the shard its sequence
         picks, then journal them — the flush's release is now final."""
@@ -879,7 +824,7 @@ class ShardedPipeline:
                 # The worker is done with the segment; back to the pool
                 # for the next flush.
                 lease.release()
-            self._collect(batch, outcome)
+            self._commit_fold(batch, *outcome)
             collected += 1
         return collected
 
@@ -983,7 +928,7 @@ class ShardedPipeline:
             for future, batch, lease in entries:
                 try:
                     if _succeeded(future):
-                        self._collect(batch, future.result())
+                        self._commit_fold(batch, *future.result())
                     else:
                         self._fold_inline(batch)
                 finally:
@@ -1145,26 +1090,6 @@ class ShardedPipeline:
         stats = dict(self._fault_stats)
         stats["degradations"] = list(self._fault_stats["degradations"])
         return stats
-
-    def seed_cache_stats(self) -> dict:
-        """Aggregate seed-row-cache effectiveness across every fold site.
-
-        Sums the parent oracle's cache (serial folds) with the per-fold
-        deltas the process workers report back through :meth:`drain`.
-        All zeros when ``seed_cache_bytes=0``.
-        """
-        cache = self.fo.seed_cache
-        hits = self._worker_cache_hits + (
-            cache.hits if cache is not None else 0
-        )
-        lookups = self._worker_cache_lookups + (
-            cache.lookups if cache is not None else 0
-        )
-        return {
-            "hits": hits,
-            "lookups": lookups,
-            "hit_rate": hits / lookups if lookups else 0.0,
-        }
 
     # -- results -----------------------------------------------------------
 

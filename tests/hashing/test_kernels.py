@@ -6,7 +6,6 @@ import pytest
 from repro.hashing import (
     CarterWegmanHashFamily,
     MultiplyShiftHashFamily,
-    SeedRowCache,
     XXHash32Family,
     chunk_spans,
     plan_support_counts,
@@ -72,20 +71,18 @@ class TestBitIdentity:
         )
         assert one_shot.tolist() == chunked.tolist()
 
-    def test_unique_seed_fast_path(self, rng):
-        """Duplicated 32-bit seeds must route through seed grouping."""
+    def test_duplicated_32bit_seeds(self, rng):
+        """Reports sharing a 32-bit seed each count on their own."""
         family = XXHash32Family()
         seeds = np.repeat(family.sample_seeds(40, rng), 10)
         reported = rng.integers(0, 8, len(seeds))
         candidates = np.arange(25)
-        plan = plan_support_counts(len(seeds), 25, 8, n_unique=40)
-        assert plan.orientation == "unique"
         counts = support_counts_kernel(family, seeds, reported, candidates, 8)
         assert counts.tolist() == naive_counts(
             family, seeds, reported, candidates, 8
         ).tolist()
 
-    def test_unique_path_chunked(self, rng):
+    def test_duplicated_32bit_seeds_chunked(self, rng):
         family = XXHash32Family()
         seeds = np.repeat(family.sample_seeds(64, rng), 8)
         reported = rng.integers(0, 4, len(seeds))
@@ -98,7 +95,7 @@ class TestBitIdentity:
         ).tolist()
 
     def test_64bit_seed_space_skips_grouping(self, rng):
-        """Grouping requires a small seed space; CW duplicates still count."""
+        """Duplicated 64-bit Carter-Wegman seeds count like distinct ones."""
         family = CarterWegmanHashFamily()
         seeds = np.repeat(family.sample_seeds(20, rng), 10)
         reported = rng.integers(0, 8, len(seeds))
@@ -167,32 +164,27 @@ class TestTileEdges:
 
 
 class TestReportedRange:
-    """Out-of-range reported values raise on every path.
+    """A value outside ``[0, d')`` raises instead of counting zero,
+    whether the reports share seeds or not."""
 
-    On the unique-seed path the multiplicity-table index
-    ``seed_index * d_out + y`` would otherwise alias a bad ``y`` into a
-    neighbouring seed's row, while the standard path silently dropped it.
-    """
-
-    def _reports(self, rng):
+    def _reports(self, rng, seeds_per_report):
         family = XXHash32Family()
-        seeds = np.repeat(family.sample_seeds(20, rng), 2)
+        seeds = np.repeat(family.sample_seeds(20, rng), seeds_per_report)
         reported = rng.integers(0, 4, len(seeds))
         return family, seeds, reported, np.arange(100)
 
     @pytest.mark.parametrize("bad", [4, -1])
     def test_unique_path_rejects(self, rng, bad):
-        family, seeds, reported, candidates = self._reports(rng)
-        assert plan_support_counts(
-            len(seeds), len(candidates), 4, n_unique=20
-        ).orientation == "unique"
+        """Reports that share seeds (duplicated 32-bit seeds)."""
+        family, seeds, reported, candidates = self._reports(rng, 2)
         reported[5] = bad
         with pytest.raises(ValueError, match=f"reported value {bad} "):
             support_counts_kernel(family, seeds, reported, candidates, 4)
 
     @pytest.mark.parametrize("bad", [4, -1])
     def test_standard_path_rejects(self, rng, bad):
-        family, seeds, reported, candidates = self._reports(rng)
+        """Distinct seeds under an explicit report-major plan."""
+        family, seeds, reported, candidates = self._reports(rng, 1)
         plan = plan_support_counts(len(seeds), len(candidates), 4)
         assert plan.orientation == "reports"
         reported[5] = bad
@@ -215,17 +207,6 @@ class TestPlan:
         assert 1 <= plan.chunk < 1_000_000
         assert plan.peak_intermediate_bytes <= (1 << 20)
 
-    def test_unique_requires_enough_duplicates(self):
-        grouped = plan_support_counts(1_000, 50, 8, n_unique=100)
-        assert grouped.orientation == "unique"
-        ungrouped = plan_support_counts(1_000, 50, 8, n_unique=999)
-        assert ungrouped.orientation == "reports"
-
-    def test_unique_requires_weight_table_within_budget(self):
-        plan = plan_support_counts(1_000, 50, 1 << 20, chunk_bytes=1 << 16,
-                                   n_unique=100)
-        assert plan.orientation != "unique"
-
     def test_peak_bytes_scale_with_chunk(self):
         small = plan_support_counts(10_000, 128, 16, chunk_bytes=1 << 16)
         large = plan_support_counts(10_000, 128, 16, chunk_bytes=1 << 26)
@@ -244,60 +225,6 @@ class TestPlan:
         assert counts.tolist() == naive_counts(
             family, seeds, reported, candidates, 8
         ).tolist()
-
-
-class TestUniqueTableGate:
-    def test_seed_cache_engages_at_default_budget(self, rng):
-        """The multiplicity-table gate is not the (cache-sized) tile budget.
-
-        At a wide-fold shape the 1 MiB table is far above the default
-        tile, yet grouping — and with it a configured seed cache — must
-        stay on: a re-fold of the same reports is served from the cache.
-        """
-        n, d, d_out = 8192, 1024, 16
-        plan = plan_support_counts(n, d, d_out, n_unique=n, prefer_unique=True)
-        assert plan.orientation == "unique"
-        family = XXHash32Family()
-        seeds = family.sample_seeds(n, rng)
-        reported = rng.integers(0, d_out, n)
-        candidates = np.arange(d)
-        cache = SeedRowCache(n * d * 4)
-        first = support_counts_kernel(
-            family, seeds, reported, candidates, d_out, seed_cache=cache
-        )
-        refold = support_counts_kernel(
-            family, seeds, reported, candidates, d_out, seed_cache=cache
-        )
-        assert cache.hits == len(np.unique(seeds))
-        assert refold.tobytes() == first.tobytes()
-
-
-class TestGroupingProbe:
-    """The duplicate-seed probe must not sort huge clearly-unique inputs."""
-
-    def test_small_inputs_always_probe(self):
-        from repro.hashing.kernels import _grouping_plausible
-
-        assert _grouping_plausible(XXHash32Family(), 1_000, 4)
-        assert not _grouping_plausible(XXHash32Family(), 1, 100)
-
-    def test_large_narrow_inputs_require_birthday_regime(self):
-        from repro.hashing.kernels import _grouping_plausible
-
-        family = XXHash32Family()
-        assert not _grouping_plausible(family, 1_000_000, 16)
-        assert _grouping_plausible(family, (1 << 31) + 1, 16)
-
-    def test_wide_candidate_axis_always_probes(self):
-        """Duplicate-heavy re-aggregation workloads keep the O(u*d) win."""
-        from repro.hashing.kernels import _grouping_plausible
-
-        assert _grouping_plausible(XXHash32Family(), 1_000_000, 128)
-
-    def test_64bit_seed_space_never_probes(self):
-        from repro.hashing.kernels import _grouping_plausible
-
-        assert not _grouping_plausible(CarterWegmanHashFamily(), 1_000, 1_000)
 
 
 class TestChunkSpans:

@@ -8,6 +8,9 @@ double-spent, no flush is re-released, and the final estimates are
 bit-identical to an uninterrupted run at the same seed.
 """
 
+import json
+import sqlite3
+
 import numpy as np
 import pytest
 
@@ -178,6 +181,40 @@ class TestCrashWindows:
             tmp_path, "record_release", 3, "before", reference,
             resume_shards=2,
         )
+
+
+class TestLegacyTuningRow:
+    def test_store_holding_a_tuning_row_still_resumes(
+        self, tmp_path, reference
+    ):
+        # Earlier versions persisted a kernel calibration as a
+        # ``tuning:kernel_calibration`` meta row, written before the run
+        # began.  Nothing reads it now, but such a store must still run,
+        # crash and resume bit-identically — and keep the row untouched.
+        path = str(tmp_path / "state.db")
+        SqliteStateStore(path).close()  # create the schema
+        payload = json.dumps({
+            "chunk_bytes": 327680,
+            "probes": [[327680, 0.0296], [1048576, 0.0325]],
+            "source": "measured",
+            "workload": "n=48000,candidates=64,d_out=16,family=xxhash32",
+        })
+        with sqlite3.connect(path) as conn:
+            conn.execute(
+                "INSERT INTO meta (key, value) VALUES (?, ?)",
+                ("tuning:kernel_calibration", payload),
+            )
+        conn.close()
+
+        crash_and_resume(tmp_path, "record_release", 3, "before", reference)
+
+        with sqlite3.connect(path) as conn:
+            row = conn.execute(
+                "SELECT value FROM meta WHERE key = ?",
+                ("tuning:kernel_calibration",),
+            ).fetchone()
+        conn.close()
+        assert row == (payload,)
 
 
 class TestReplayChecksRelease:

@@ -108,9 +108,25 @@ def test_header_block_over_limit_is_431():
     assert error.close
 
 
-def test_invalid_content_length_is_400():
-    error = _parse_error(b"POST / HTTP/1.1\r\nContent-Length: nope\r\n\r\n")
+@pytest.mark.parametrize(
+    "length_lines",
+    [
+        b"Content-Length: nope\r\n",
+        # RFC 9112 section 6.3: digits only, and one length per message.
+        b"Content-Length: +13\r\n",
+        b"Content-Length: 1_3\r\n",
+        b"Content-Length: 5\r\nContent-Length: 13\r\n",
+        b"Content-Length: " + b"1" * 5000 + b"\r\n",
+    ],
+    ids=["nope", "plus-sign", "underscore", "repeated", "too-many-digits"],
+)
+def test_invalid_content_length_is_400(length_lines):
+    error = _parse_error(
+        b"POST / HTTP/1.1\r\n" + length_lines + b"\r\n"
+        + b'{"v": [1, 2]}'  # 13 bytes
+    )
     assert error.status == 400
+    assert error.close
 
 
 def test_repeated_query_param_is_400():

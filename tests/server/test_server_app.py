@@ -169,6 +169,43 @@ def test_malformed_json_body_is_400():
     asyncio.run(run())
 
 
+@pytest.mark.parametrize(
+    "length_lines",
+    [
+        b"Content-Length: +13\r\n",
+        b"Content-Length: 1_3\r\n",
+        b"Content-Length: 5\r\nContent-Length: 13\r\n",
+    ],
+    ids=["plus-sign", "underscore", "repeated"],
+)
+def test_malformed_content_length_is_400_and_closes(length_lines):
+    async def run():
+        async with _serve() as server:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            # No body follows: the framing error is the whole request.
+            writer.write(b"POST /api/reports HTTP/1.1\r\n" + length_lines
+                         + b"\r\n")
+            await writer.drain()
+            # A server that accepted the length would wait for the body.
+            head = await asyncio.wait_for(
+                reader.readuntil(b"\r\n\r\n"), timeout=5
+            )
+            status_line, __, header_block = head.partition(b"\r\n")
+            assert b" 400 " in status_line
+            assert b"Connection: close" in header_block
+            await asyncio.wait_for(reader.read(), timeout=5)  # body, EOF
+            assert reader.at_eof()
+            writer.close()
+            await writer.wait_closed()
+            async with ServerClient("127.0.0.1", server.port) as client:
+                health = await client.health()
+                assert health["accepted_batches"] == 0
+
+    asyncio.run(run())
+
+
 def test_oversized_body_is_413():
     async def run():
         async with _serve(max_body_bytes=2048) as server:

@@ -13,7 +13,6 @@ from repro.service import (
     SharedMemoryPool,
     ShardedPipeline,
     StreamConfig,
-    TelemetryPipeline,
     attach_segment,
 )
 from repro.service.shm import SEGMENT_PREFIX, _size_class, leaked_segments
@@ -187,27 +186,6 @@ class TestPipelineKnobValidation:
                 _config(), np.random.default_rng(0), transport="carrier-pigeon"
             )
         assert err.value.field == "transport"
-
-    @pytest.mark.parametrize("bad", [0, -1])
-    def test_bad_chunk_bytes_named(self, bad):
-        with pytest.raises(ConfigError) as err:
-            ShardedPipeline(_config(), np.random.default_rng(0), chunk_bytes=bad)
-        assert err.value.field == "chunk_bytes"
-        with pytest.raises(ConfigError) as err:
-            TelemetryPipeline(_config(), np.random.default_rng(0), chunk_bytes=bad)
-        assert err.value.field == "chunk_bytes"
-
-    def test_bad_seed_cache_bytes_named(self):
-        with pytest.raises(ConfigError) as err:
-            ShardedPipeline(
-                _config(), np.random.default_rng(0), seed_cache_bytes=-1
-            )
-        assert err.value.field == "seed_cache_bytes"
-        with pytest.raises(ConfigError) as err:
-            TelemetryPipeline(
-                _config(), np.random.default_rng(0), seed_cache_bytes=-1
-            )
-        assert err.value.field == "seed_cache_bytes"
 
 
 class TestTransportStats:

@@ -83,11 +83,9 @@ class TestCommands:
             "stream", "--epochs", "2", "--epoch-size", "200",
             "--flush-size", "100", "--d", "8", "--budget-epochs", "2",
             "--seed", "7", "--shards", "2",
-            "--seed-cache-bytes", "1000000",
         ]) == 0
         out = capsys.readouterr().out
         assert "transport (" in out  # bytes_moved / shm peak summary
-        assert "seed cache:" in out  # hit-rate summary
 
     def test_invalid_eps_exits_cleanly(self, capsys):
         # Facade validation surfaces as exit code 2, not a traceback.
