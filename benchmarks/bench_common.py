@@ -18,6 +18,10 @@ artifacts per bench through one shared writer:
 An experiment callable returns either a plain table string or a
 :class:`BenchResult` carrying the structured parts.
 
+The streaming service's speed (process folds, sqlite ingest, the HTTP
+front door) is measured and gated by the repo benchmark,
+``perfbench/run.py``, not by a bench here.
+
 Environment knobs:
 
 * ``REPRO_BENCH_SCALE``  — population scale factor (default 0.1; ``1.0``
@@ -27,8 +31,6 @@ Environment knobs:
 * ``REPRO_BENCH_SEED``   — RNG seed (default 2020, the paper's year).
 * ``REPRO_BENCH_WORKERS`` — trial-plan worker threads for the sweep
   benches (default 1; results are bit-identical at any worker count).
-* ``REPRO_BENCH_SHARDS`` — fold shards for the sharded streaming bench
-  (default 4; results are bit-identical at any shard count).
 
 Sweep benches are also runnable standalone (``python
 benchmarks/bench_fig3_frequency_estimation.py --workers 4 --json out``),
@@ -65,10 +67,6 @@ def bench_repeats() -> int:
 
 def bench_workers() -> int:
     return int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
-
-
-def bench_shards() -> int:
-    return int(os.environ.get("REPRO_BENCH_SHARDS", "4"))
 
 
 def bench_seed() -> int:
@@ -134,7 +132,6 @@ def write_bench_json(
             "repeats": bench_repeats(),
             "seed": bench_seed(),
             "workers": bench_workers(),
-            "shards": bench_shards(),
         },
         "elapsed_seconds": elapsed,
         "table": result.table,
@@ -194,9 +191,6 @@ def standalone_main(
     parser.add_argument("--workers", type=int, default=bench_workers(),
                         help="trial-plan worker threads (bit-identical "
                              "results at any worker count)")
-    parser.add_argument("--shards", type=int, default=bench_shards(),
-                        help="fold shards for the sharded streaming bench "
-                             "(bit-identical results at any shard count)")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="write the shared-schema JSON record here "
                              f"(default benchmarks/results/{name}.json)")
@@ -206,7 +200,6 @@ def standalone_main(
     os.environ["REPRO_BENCH_REPEATS"] = str(args.repeats)
     os.environ["REPRO_BENCH_SEED"] = str(args.seed)
     os.environ["REPRO_BENCH_WORKERS"] = str(args.workers)
-    os.environ["REPRO_BENCH_SHARDS"] = str(args.shards)
 
     started = time.perf_counter()
     result = _coerce(experiment())

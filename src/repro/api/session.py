@@ -48,13 +48,13 @@ def _resolve_rng(
 def _resume_stream(store, stream_options: dict):
     """Resume a persisted run with the layout ``stream_options`` describe.
 
-    The server's self-healing path: the deployment parameters live in
-    the store's snapshot (they must match the crashed run bit for bit),
-    while the execution layout — shards, fold backend, transport,
-    fault-tolerance knobs — is re-derived from the same options
-    :meth:`ShuffleSession.serve` forwarded to the original
-    :meth:`ShuffleSession.stream` call, so the recovered pipeline runs
-    the way the operator configured it.
+    The server's self-healing path and ``repro stream --resume``: the
+    deployment parameters live in the store's snapshot (they must match
+    the crashed run bit for bit), while the execution layout — shards,
+    fold backend, transport, fault-tolerance knobs — is re-derived from
+    the same options the original :meth:`ShuffleSession.stream` call
+    took, so the recovered pipeline runs the way the operator
+    configured it.
     """
     from ..service.sharded import ShardedPipeline
 
@@ -326,12 +326,6 @@ class ShuffleSession:
                 "backend",
                 f"fold backend must be one of {', '.join(FOLD_BACKENDS)}, "
                 f"got {backend!r}",
-            )
-        if fold_timeout is not None and not float(fold_timeout) > 0.0:
-            raise ConfigError(
-                "fold_timeout",
-                f"must be positive seconds (or None for no timeout), "
-                f"got {fold_timeout}",
             )
         if int(fold_retries) < 0:
             raise ConfigError(

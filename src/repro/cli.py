@@ -74,6 +74,23 @@ def _session(args: argparse.Namespace, mechanism: str, d: int):
     )
 
 
+def _fold_layout(args: argparse.Namespace) -> dict:
+    """The execution layout ``stream`` and ``serve`` share, as facade options.
+
+    Shards, fold executor, transport and fault tolerance: none of them
+    changes an estimate, so a resume picks them fresh from the same dict.
+    """
+    return dict(
+        shards=args.shards,
+        backend=args.fold_backend,
+        fold_workers=args.fold_workers,
+        transport="pickle" if args.no_shm else "shm",
+        fold_timeout=args.fold_timeout,
+        fold_retries=args.fold_retries,
+        degrade=not args.no_degrade,
+    )
+
+
 def _cmd_fig3(args: argparse.Namespace) -> int:
     from repro.analysis import FIGURE3_METHODS
     from repro.data import ipums_like
@@ -159,6 +176,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     import os
 
     from repro.api import ConfigError
+    from repro.api.session import _resume_stream
     from repro.core import InfeasiblePlanError
     from repro.data import zipf_histogram
     from repro.data.synthetic import values_from_histogram
@@ -193,11 +211,12 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     # Raises ConfigError naming state_db on a missing parent directory or
     # an unwritable path — main() turns that into a clean exit 2.
     store = SqliteStateStore(args.state_db) if args.state_db else None
+    layout = _fold_layout(args)
     pipeline = None
     try:
         if args.resume:
             try:
-                pipeline = _resume_stream_pipeline(args, store)
+                pipeline = _resume_stream(store, layout)
             except StateStoreError as broken:
                 print(f"error: {broken}", file=sys.stderr)
                 return 2
@@ -215,16 +234,10 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                     eps_targets=(args.eps1, args.eps2, args.eps3),
                     epoch_size=args.epoch_size,
                     admitted_epochs=budget_epochs,
-                    shards=args.shards,
-                    backend=args.fold_backend,
-                    fold_workers=args.fold_workers,
-                    transport="pickle" if args.no_shm else "shm",
-                    fold_timeout=args.fold_timeout,
-                    fold_retries=args.fold_retries,
-                    degrade=not args.no_degrade,
                     rng=np.random.default_rng(args.seed),
                     crypto_rng=args.seed,
                     store=store,
+                    **layout,
                 )
             except InfeasiblePlanError as infeasible:
                 print(f"error: {infeasible}", file=sys.stderr)
@@ -395,16 +408,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         eps_targets=(args.eps1, args.eps2, args.eps3),
         epoch_size=args.epoch_size,
         admitted_epochs=args.budget_epochs,
-        shards=args.shards,
-        backend=args.fold_backend,
-        fold_workers=args.fold_workers,
-        transport="pickle" if args.no_shm else "shm",
-        fold_timeout=args.fold_timeout,
-        fold_retries=args.fold_retries,
-        degrade=not args.no_degrade,
         max_recoveries=args.max_recoveries,
         seed=args.seed,
         crypto_rng=args.seed,
+        **_fold_layout(args),
     )
     try:
         return asyncio.run(_serve_until_signal(server))
@@ -418,8 +425,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 async def _serve_until_signal(server) -> int:
     """Run the front door until SIGTERM/SIGINT, then shut down cleanly.
 
-    Clean shutdown is the contract CI pins: drain accepted uploads into
-    the pipeline, close it (releasing fold workers and unlinking every
+    Clean shutdown is the contract ``tests/test_cli.py`` pins against a
+    separate ``repro serve`` process: drain accepted uploads into the
+    pipeline, close it (releasing fold workers and unlinking every
     shared-memory segment), close the state store, exit 0.
     """
     import asyncio
@@ -446,26 +454,6 @@ async def _serve_until_signal(server) -> int:
         await server.stop()
     print("shutdown complete", flush=True)
     return 0
-
-
-def _resume_stream_pipeline(args: argparse.Namespace, store):
-    """Rebuild the persisted run under the requested execution layout.
-
-    The layout — shards, transport, fault tolerance — is chosen fresh on
-    every resume (it never affects estimates).
-    """
-    from repro.service import ShardedPipeline
-
-    return ShardedPipeline.resume(
-        store,
-        n_shards=args.shards,
-        fold_backend=args.fold_backend,
-        workers=args.fold_workers,
-        transport="pickle" if args.no_shm else "shm",
-        fold_timeout=args.fold_timeout,
-        max_fold_retries=args.fold_retries,
-        degrade=not args.no_degrade,
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -52,6 +52,7 @@ behavior.
 from __future__ import annotations
 
 import asyncio
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, List, Optional, Tuple
@@ -144,10 +145,11 @@ class ServerConfig:
                 "max_header_bytes",
                 f"must be >= 1024, got {self.max_header_bytes}",
             )
-        if not self.retry_after_s > 0.0:
+        if not 0.0 < self.retry_after_s < math.inf:
+            # The 429's Retry-After header rounds it to whole seconds.
             raise ConfigError(
                 "retry_after_s",
-                f"must be positive, got {self.retry_after_s}",
+                f"must be positive and finite, got {self.retry_after_s}",
             )
         if self.max_recoveries < 0:
             raise ConfigError(
@@ -257,7 +259,7 @@ class TelemetryServer:
     async def stop(self) -> None:
         """Graceful shutdown: drain accepted work, then release everything.
 
-        Ordering is the clean-exit contract the CI smoke pins: stop
+        Ordering is the clean-exit contract the serve tests pin: stop
         accepting (new requests get 503 while existing sockets flush),
         wait for every accepted job to reach the pipeline, then close
         the pipeline on its own thread — which drains process folds and

@@ -1,7 +1,7 @@
 """A minimal asyncio HTTP/1.1 client for the front door.
 
 Just enough to drive :class:`~repro.server.app.TelemetryServer` from the
-load-generator bench, the test suite, and the CI smoke — one persistent
+repo benchmark's load generator and the test suite — one persistent
 connection per :class:`ServerClient`, JSON in, JSON out, no third-party
 HTTP stack (the same no-new-deps discipline as the server).
 """
@@ -159,7 +159,7 @@ class ServerClient:
             response = await self.request(method, target, payload)
         return response
 
-    # -- convenience verbs used by the bench and the smoke ----------------
+    # -- convenience verbs used by the benchmark and the tests ------------
 
     async def health(self) -> dict:
         return (await self.request("GET", "/api/health")).body

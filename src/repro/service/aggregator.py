@@ -21,7 +21,7 @@ Two fold paths mirror the one-shot code:
 * the **statistical** path (:meth:`fold_histogram`) draws the counts
   directly from a per-epoch value histogram via ``sample_support_counts``
   plus ``sample_fake_support_counts`` — the O(d) no-materialization path
-  used by throughput benchmarks at paper scale.
+  for paper-scale simulation.
 
 ``merge`` combines aggregators from disjoint shards (same additivity
 argument) — the seam :class:`repro.service.sharded.ShardedPipeline`

@@ -84,6 +84,7 @@ from __future__ import annotations
 import logging
 import os
 import signal
+import threading
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
@@ -319,11 +320,15 @@ class ShardedPipeline:
                 f"unknown fold transport {transport!r} "
                 f"(registered: {', '.join(TRANSPORTS)})",
             )
-        if fold_timeout is not None and not float(fold_timeout) > 0.0:
+        if fold_timeout is not None and not (
+            0.0 < float(fold_timeout) <= threading.TIMEOUT_MAX
+        ):
+            # A future's wait converts its timeout to a platform deadline;
+            # past TIMEOUT_MAX (inf included) that overflows on every fold.
             raise ConfigError(
                 "fold_timeout",
-                f"must be positive seconds (or None for no timeout), "
-                f"got {fold_timeout}",
+                f"must be positive seconds up to {threading.TIMEOUT_MAX:g} "
+                f"(or None for no timeout), got {fold_timeout}",
             )
         if int(max_fold_retries) < 0:
             raise ConfigError(

@@ -356,14 +356,20 @@ class TestInjectedCommitFault:
 
 
 class TestFlushSequenceAuthority:
-    def test_sequence_is_the_global_flush_counter(self, tmp_path):
+    def test_sequence_is_the_global_flush_counter(self, tmp_path, reference):
         path = str(tmp_path / "state.db")
         with SqliteStateStore(path) as store:
             pipeline = TelemetryPipeline(
                 make_config(), np.random.default_rng(SEED), store=store
             )
-            drive(pipeline)
+            result = drive(pipeline)
             snapshot = store.load_run()
+        # An uninterrupted sqlite run is the memory run, bit for bit.
+        assert result.estimates.tobytes() == reference.estimates.tobytes()
+        assert result.eps_spent == reference.eps_spent
+        assert result.delta_spent == reference.delta_spent
+        assert result.n_genuine == reference.n_genuine > 0
+        assert result.n_fake == reference.n_fake
         sequences = [flush.sequence for flush in snapshot.flushes]
         # Dense, zero-based, strictly increasing across epoch boundaries:
         # the sequence — not the epoch-local position — keys the release

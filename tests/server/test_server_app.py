@@ -86,6 +86,8 @@ def test_server_config_names_bad_fields():
         ServerConfig(max_pending=0)
     with pytest.raises(ConfigError, match="retry_after_s"):
         ServerConfig(retry_after_s=0.0)
+    with pytest.raises(ConfigError, match="retry_after_s"):
+        ServerConfig(retry_after_s=float("inf"))
     with pytest.raises(ConfigError, match="max_body_bytes"):
         _session().serve(100, max_body_bytes=10)
 

@@ -66,11 +66,14 @@ class TestKnobValidation:
     def test_bad_fold_timeout_named(self):
         from repro.core.errors import ConfigError
 
-        with pytest.raises(ConfigError) as err:
-            ShardedPipeline(
-                _config(), np.random.default_rng(0), fold_timeout=0.0
-            )
-        assert err.value.field == "fold_timeout"
+        # inf and 1e10 pass a bare "> 0" check, then overflow the
+        # platform deadline of every future.result(timeout=...) call.
+        for bad in (0.0, float("inf"), 1e10):
+            with pytest.raises(ConfigError) as err:
+                ShardedPipeline(
+                    _config(), np.random.default_rng(0), fold_timeout=bad
+                )
+            assert err.value.field == "fold_timeout"
 
     def test_bad_fold_retries_named(self):
         from repro.core.errors import ConfigError

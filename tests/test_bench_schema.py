@@ -57,7 +57,7 @@ def sample_sweep() -> SweepResultSet:
 REQUIRED_KEYS = {
     "schema", "name", "params", "elapsed_seconds", "table", "sweep", "extra",
 }
-REQUIRED_PARAMS = {"scale", "repeats", "seed", "workers", "shards"}
+REQUIRED_PARAMS = {"scale", "repeats", "seed", "workers"}
 
 
 class TestEnvelope:

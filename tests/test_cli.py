@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -92,6 +93,16 @@ class TestCommands:
         assert main(["fig3", "--scale", "0.01", "--eps", "-0.5"]) == 2
         assert "eps" in capsys.readouterr().err
 
+    def test_unbounded_fold_timeout_exits_cleanly(self, capsys):
+        # inf passes a bare "> 0" check but overflows every fold's wait.
+        assert main([
+            "stream", "--epochs", "2", "--epoch-size", "200",
+            "--flush-size", "100", "--d", "8", "--seed", "7",
+            "--shards", "2", "--fold-backend", "process",
+            "--fold-timeout", "inf",
+        ]) == 2
+        assert "fold_timeout" in capsys.readouterr().err
+
     def test_plan_runs(self, capsys):
         assert main([
             "plan", "--eps1", "0.5", "--eps2", "2.0", "--eps3", "5.0",
@@ -120,13 +131,21 @@ class TestModuleEntryPoint:
 
 
 class TestServeCommand:
-    def test_invalid_network_knobs_exit_cleanly(self, capsys):
+    def test_invalid_network_knobs_exit_cleanly(self, capsys, tmp_path):
         assert main(["serve", "--max-pending", "0"]) == 2
         assert "max_pending" in capsys.readouterr().err
         assert main(["serve", "--port", "70000"]) == 2
         assert "port" in capsys.readouterr().err
         assert main(["serve", "--flush-size", "0"]) == 2
         assert "--flush-size" in capsys.readouterr().err
+        # inf passes a bare "> 0" check but cannot fill a Retry-After.
+        # The bad --state-db makes a missed check exit, not serve forever.
+        bad = str(tmp_path / "missing" / "state.db")
+        assert main([
+            "serve", "--port", "0", "--retry-after", "inf",
+            "--state-db", bad,
+        ]) == 2
+        assert "retry_after_s" in capsys.readouterr().err
 
     def test_bad_state_db_parent_exits_cleanly(self, capsys, tmp_path):
         bad = str(tmp_path / "missing" / "state.db")
@@ -134,12 +153,24 @@ class TestServeCommand:
         assert "state_db" in capsys.readouterr().err
 
     def test_serve_sigterm_is_a_clean_exit(self, tmp_path):
-        """Start the server, drive it over HTTP, SIGTERM it: exit 0."""
-        import json
+        """Drive a separate ``repro serve`` process over HTTP, SIGTERM it.
+
+        Two shards folded by worker processes over shm, a sqlite journal
+        and a two-slot ingest queue.  The estimates it serves equal an
+        in-process replay of the accepted batches in ``submit_seq``
+        order, bit for bit; SIGTERM drains and exits 0; and none of its
+        shm segments outlives it.
+        """
+        import asyncio
         import re
         import signal
-        import urllib.request
 
+        from repro.persistence.records import config_from_dict
+        from repro.server import ServerClient, fetch_all_estimates
+        from repro.service import ShardedPipeline
+        from repro.service.shm import SEGMENT_PREFIX, leaked_segments
+
+        d, seed, epochs = 8, 7, 2
         root = Path(__file__).parent.parent
         env = dict(os.environ)
         src = str(root / "src")
@@ -149,37 +180,114 @@ class TestServeCommand:
         )
         process = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--d", "8", "--flush-size", "100", "--epoch-size", "200",
-             "--budget-epochs", "2", "--seed", "7",
+             "--d", str(d), "--flush-size", "100", "--epoch-size", "300",
+             "--budget-epochs", str(epochs), "--seed", str(seed),
+             "--shards", "2", "--fold-backend", "process",
+             "--max-pending", "2",
              "--state-db", str(tmp_path / "serve.db")],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            text=True, env=env, cwd=root,
+            text=True, env=env, cwd=root, start_new_session=True,
         )
+
+        def server_segments():
+            prefix = f"{SEGMENT_PREFIX}_{process.pid}_"
+            return [name for name in leaked_segments()
+                    if name.startswith(prefix)]
+
+        async def post(client, target, payload=None):
+            # A 429 from the two-slot queue is retried, never dropped:
+            # backpressure sheds load, not data.  Many short retries ride
+            # out the fold pool's first spawn on a slow machine.
+            return await client.request_with_retry(
+                "POST", target, payload, retry_statuses=(429,),
+                max_attempts=64, max_delay_s=0.25,
+            )
+
+        async def drive(port):
+            clients = [ServerClient("127.0.0.1", port) for __ in range(2)]
+            try:
+                deployment = (await clients[0].config())["deployment"]
+                rng = np.random.default_rng(99)
+                recorded = []  # per epoch: [(submit_seq, values), ...]
+
+                async def upload(client, batches):
+                    accepted = []
+                    for values in batches:
+                        response = await post(
+                            client, "/api/reports",
+                            {"values": [int(v) for v in values]},
+                        )
+                        assert response.status == 202, response.body
+                        assert response.body["accepted"] == len(values)
+                        accepted.append((response.body["submit_seq"], values))
+                    return accepted
+
+                for __ in range(epochs):
+                    shares = [
+                        [rng.integers(0, d, size=75) for __ in range(2)]
+                        for __ in clients
+                    ]
+                    accepted = await asyncio.gather(*(
+                        upload(client, batches)
+                        for client, batches in zip(clients, shares)
+                    ))
+                    recorded.append(sorted(
+                        (pair for part in accepted for pair in part),
+                        key=lambda pair: pair[0],
+                    ))
+                    response = await post(clients[0], "/api/epochs")
+                    assert response.status == 200, response.body
+                # Two clients upload two 75-report batches per epoch.
+                health = await clients[0].health()
+                assert health["accepted_reports"] == epochs * 2 * 2 * 75
+                items = await fetch_all_estimates(clients[1], limit=5)
+            finally:
+                for client in clients:
+                    await client.close()
+            return deployment, recorded, items
+
         try:
             banner = process.stdout.readline()
             match = re.search(r"http://127\.0\.0\.1:(\d+)", banner)
             assert match, f"no listen banner in {banner!r}"
-            base = f"http://127.0.0.1:{match.group(1)}"
-            request = urllib.request.Request(
-                f"{base}/api/reports",
-                data=json.dumps({"values": [1, 2, 3]}).encode(),
-                method="POST",
-            )
-            with urllib.request.urlopen(request, timeout=10) as response:
-                assert response.status == 202
-                assert json.load(response)["accepted"] == 3
-            with urllib.request.urlopen(
-                f"{base}/api/health", timeout=10
-            ) as response:
-                assert json.load(response)["accepted_reports"] == 3
+            # A hung fold or epoch close fails the test instead of
+            # stalling it; the finally below then kills the server.
+            deployment, recorded, items = asyncio.run(asyncio.wait_for(
+                drive(int(match.group(1))), timeout=120,
+            ))
+            if os.path.isdir("/dev/shm"):
+                assert server_segments(), "the server folded without shm"
             process.send_signal(signal.SIGTERM)
             out, err = process.communicate(timeout=60)
             assert process.returncode == 0, err
             assert "shutdown complete" in out
         finally:
             if process.poll() is None:
-                process.kill()
-                process.communicate()
+                process.terminate()  # a clean stop unlinks the segments
+                try:
+                    process.communicate(timeout=30)
+                except subprocess.TimeoutExpired:
+                    # A stuck server's fold workers hold its pipes open.
+                    os.killpg(process.pid, signal.SIGKILL)
+                    process.communicate()
+        assert server_segments() == []
+
+        assert len(items) == epochs * d
+        served = {}
+        for item in sorted(items, key=lambda i: (i["epoch"], i["index"])):
+            served.setdefault(item["epoch"], []).append(item["estimate"])
+        with ShardedPipeline(
+            config_from_dict(deployment), np.random.default_rng(seed)
+        ) as replay:
+            for batches in recorded:
+                for __, values in batches:
+                    replay.submit(values)
+                replay.end_epoch()
+            replayed = {
+                int(epoch): [float(x) for x in estimates]
+                for epoch, estimates in replay.store.epoch_log()
+            }
+        assert served == replayed
 
 
 class TestStreamPersistence:
