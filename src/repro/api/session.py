@@ -45,6 +45,14 @@ def _resolve_rng(
     return np.random.default_rng(seed)
 
 
+#: :meth:`ShuffleSession.stream`'s layout options -> pipeline keywords
+_LAYOUT_KEYWORDS = dict(
+    shards="n_shards", backend="fold_backend", fold_workers="workers",
+    transport="transport", fold_timeout="fold_timeout",
+    fold_retries="max_fold_retries", degrade="degrade",
+)
+
+
 def _resume_stream(store, stream_options: dict):
     """Resume a persisted run with the layout ``stream_options`` describe.
 
@@ -54,20 +62,15 @@ def _resume_stream(store, stream_options: dict):
     fold backend, transport, fault-tolerance knobs — is re-derived from
     the same options the original :meth:`ShuffleSession.stream` call
     took, so the recovered pipeline runs the way the operator
-    configured it.
+    configured it.  An option left out keeps the pipeline's default.
     """
     from ..service.sharded import ShardedPipeline
 
-    return ShardedPipeline.resume(
-        store,
-        n_shards=int(stream_options.get("shards", 1)),
-        fold_backend=stream_options.get("backend", "serial"),
-        workers=stream_options.get("fold_workers"),
-        transport=stream_options.get("transport", "shm"),
-        fold_timeout=stream_options.get("fold_timeout"),
-        max_fold_retries=int(stream_options.get("fold_retries", 2)),
-        degrade=bool(stream_options.get("degrade", True)),
-    )
+    return ShardedPipeline.resume(store, **{
+        keyword: stream_options[option]
+        for option, keyword in _LAYOUT_KEYWORDS.items()
+        if option in stream_options
+    })
 
 
 class ShuffleSession:
@@ -491,39 +494,44 @@ class ShuffleSession:
             recovery_backoff_s=recovery_backoff_s,
         )
 
-        def pipeline_factory():
+        def opened(build):
+            # build(store) on the deployment's store; one the factory
+            # opened is closed again when the build fails.
             resolved = store() if callable(store) else store
-            return self.stream(flush_size, store=resolved, **stream_options)
-
-        recover_factory = None
-        if callable(store):
-
-            def recover_factory():
-                from ..persistence import StateStoreError
-
-                resolved = store()
-                try:
-                    if not getattr(resolved, "durable", False):
-                        raise RecoveryUnsupportedError(
-                            "the deployment's store is not durable; "
-                            "nothing survives an ingest crash to resume "
-                            "from"
-                        )
-                    try:
-                        return _resume_stream(resolved, stream_options)
-                    except StateStoreError as unreadable:
-                        raise RecoveryUnsupportedError(
-                            f"durable store cannot be resumed: {unreadable}"
-                        ) from unreadable
-                except BaseException as failure:
+            try:
+                return build(resolved)
+            except BaseException as failure:
+                if resolved is not store:
                     try:
                         resolved.close()
                     except Exception as close_failure:
                         raise failure from close_failure
-                    raise
+                raise
+
+        def plan(resolved):
+            return self.stream(flush_size, store=resolved, **stream_options)
+
+        def resume(resolved):
+            from ..persistence import StateStoreError
+
+            if not getattr(resolved, "durable", False):
+                raise RecoveryUnsupportedError(
+                    "the deployment's store is not durable; nothing "
+                    "survives an ingest crash to resume from"
+                )
+            try:
+                return _resume_stream(resolved, stream_options)
+            except StateStoreError as unreadable:
+                raise RecoveryUnsupportedError(
+                    f"durable store cannot be resumed: {unreadable}"
+                ) from unreadable
 
         return TelemetryServer(
-            pipeline_factory, config, recover_factory=recover_factory
+            lambda: opened(plan),
+            config,
+            recover_factory=(
+                (lambda: opened(resume)) if callable(store) else None
+            ),
         )
 
     # -- shared helpers ----------------------------------------------------

@@ -23,7 +23,17 @@ verbs any library consumer uses.
 ``stream`` runs the continuous telemetry service of :mod:`repro.service`
 on a synthetic Zipf workload: per-epoch metrics, cross-epoch budget
 accounting, and (by default) one epoch more than the budget admits so the
-accountant's flush rejection is visible.
+accountant's flush rejection is visible.  ``serve`` runs the same
+pipeline behind the HTTP front door of :mod:`repro.server`, so the two
+share one group of deployment flags, declared once.  Only
+``--budget-epochs`` is per command, as its default differs (``stream``:
+one fewer than ``--epochs``; ``serve``: 4).  ``ShuffleSession`` and
+``StreamConfig`` are the only validators of those flags.
+
+Exit codes: 0 on success; 2 for any ``ConfigError``,
+``InfeasiblePlanError`` or ``StateStoreError``, printing the library's
+message (:func:`main` is the one place that maps them); 3 for
+``stream --crash-after-epoch``'s simulated crash.
 
 The heavy protocol benchmark (Table III) stays in
 ``benchmarks/bench_table3_overhead.py`` because its timing harness needs
@@ -149,12 +159,6 @@ def _cmd_fig4(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.devtools.cli import run_lint
-
-    return run_lint(args)
-
-
 def _cmd_plan(args: argparse.Namespace) -> int:
     from repro.core import plan_peos
 
@@ -177,78 +181,59 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
     from repro.api import ConfigError
     from repro.api.session import _resume_stream
-    from repro.core import InfeasiblePlanError
     from repro.data import zipf_histogram
     from repro.data.synthetic import values_from_histogram
-    from repro.persistence import SqliteStateStore, StateStoreError
+    from repro.persistence import SqliteStateStore
     from repro.service import flushes_per_epoch
+    from repro.service.pipeline import check_sizes
 
-    if args.flush_size < 1 or args.epoch_size < 1:
-        print("error: --flush-size and --epoch-size must be >= 1",
-              file=sys.stderr)
-        return 2
-    if args.budget_epochs is not None and args.budget_epochs < 1:
-        print("error: --budget-epochs must be >= 1", file=sys.stderr)
-        return 2
     if args.resume and args.state_db is None:
-        print("error: --resume requires --state-db", file=sys.stderr)
-        return 2
+        raise ConfigError("state_db", "--resume requires --state-db")
     if args.crash_after_epoch is not None and args.crash_after_epoch < 1:
-        print("error: --crash-after-epoch must be >= 1", file=sys.stderr)
-        return 2
-    if args.fail_point:
-        from repro.faults import install
-
-        # Arms this process and exports REPRO_FAIL_POINTS so spawned
-        # fold workers self-arm; ConfigError -> main()'s exit 2.
-        install(args.fail_point)
+        raise ConfigError(
+            "crash_after_epoch", f"must be >= 1, got {args.crash_after_epoch}"
+        )
     budget_epochs = (
         args.budget_epochs
         if args.budget_epochs is not None
         else max(1, args.epochs - 1)
     )
-    admitted = budget_epochs * flushes_per_epoch(args.epoch_size, args.flush_size)
     # Raises ConfigError naming state_db on a missing parent directory or
-    # an unwritable path — main() turns that into a clean exit 2.
+    # an unwritable path.
     store = SqliteStateStore(args.state_db) if args.state_db else None
     layout = _fold_layout(args)
     pipeline = None
     try:
         if args.resume:
-            try:
-                pipeline = _resume_stream(store, layout)
-            except StateStoreError as broken:
-                print(f"error: {broken}", file=sys.stderr)
-                return 2
+            # The stored run ignores the sizing flags, but they still size
+            # the synthetic workload and the admitted-flush count below.
+            check_sizes(
+                flush_size=args.flush_size, epoch_size=args.epoch_size,
+                admitted_epochs=budget_epochs,
+            )
+            pipeline = _resume_stream(store, layout)
             print(f"resumed from {args.state_db}: "
                   f"{pipeline.epochs_completed} epoch(s) and "
                   f"{pipeline.n_submits} submission(s) already applied")
         else:
-            try:
-                # The facade plans the deployment ("auto" lets Section VI-D
-                # pick the mechanism) and returns the wired pipeline —
-                # sharded across fold processes when --shards/--fold-backend
-                # say so.
-                pipeline = _session(args, "auto", args.d).stream(
-                    args.flush_size,
-                    eps_targets=(args.eps1, args.eps2, args.eps3),
-                    epoch_size=args.epoch_size,
-                    admitted_epochs=budget_epochs,
-                    rng=np.random.default_rng(args.seed),
-                    crypto_rng=args.seed,
-                    store=store,
-                    **layout,
-                )
-            except InfeasiblePlanError as infeasible:
-                print(f"error: {infeasible}", file=sys.stderr)
-                print("hint: relax the eps targets or enlarge --flush-size",
-                      file=sys.stderr)
-                return 2
-            except ConfigError as invalid:
-                print(f"error: {invalid}", file=sys.stderr)
-                return 2
+            # The facade plans the deployment ("auto" lets Section VI-D
+            # pick the mechanism) and returns the wired pipeline — sharded
+            # across fold processes when --shards/--fold-backend say so.
+            pipeline = _session(args, "auto", args.d).stream(
+                args.flush_size,
+                eps_targets=(args.eps1, args.eps2, args.eps3),
+                epoch_size=args.epoch_size,
+                admitted_epochs=budget_epochs,
+                rng=np.random.default_rng(args.seed),
+                crypto_rng=args.seed,
+                store=store,
+                **layout,
+            )
         config = pipeline.config
         plan = config.plan
+        admitted = budget_epochs * flushes_per_epoch(
+            args.epoch_size, args.flush_size
+        )
         # The workload generator and the pipeline's ingest share one rng
         # (restored from the checkpoint on resume), so a resumed run's
         # synthetic epochs continue the uninterrupted run's exact stream.
@@ -368,35 +353,13 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
+    from functools import partial
 
-    from repro.core import InfeasiblePlanError
+    from repro.persistence import SqliteStateStore
 
-    if args.flush_size < 1 or args.epoch_size < 1:
-        print("error: --flush-size and --epoch-size must be >= 1",
-              file=sys.stderr)
-        return 2
-    if args.budget_epochs < 1:
-        print("error: --budget-epochs must be >= 1", file=sys.stderr)
-        return 2
-
-    if args.fail_point:
-        from repro.faults import install
-
-        install(args.fail_point)
-
-    store_factory = None
-    if args.state_db:
-        from repro.persistence import SqliteStateStore
-
-        state_db = args.state_db
-
-        def store_factory():
-            # Runs on the server's ingest thread, so the SQLite
-            # connection is owned by the thread that uses it.
-            return SqliteStateStore(state_db)
-
-    # ConfigError (bad --port/--max-pending/... with the field named)
-    # propagates to main()'s uniform exit 2.
+    # A store factory: the store opens on the server's ingest thread, so
+    # the SQLite connection is owned by the thread that uses it.
+    store = partial(SqliteStateStore, args.state_db) if args.state_db else None
     server = _session(args, "auto", args.d).serve(
         args.flush_size,
         host=args.host,
@@ -404,7 +367,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_pending=args.max_pending,
         max_body_bytes=args.max_body_bytes,
         retry_after_s=args.retry_after,
-        store=store_factory,
+        store=store,
         eps_targets=(args.eps1, args.eps2, args.eps3),
         epoch_size=args.epoch_size,
         admitted_epochs=args.budget_epochs,
@@ -413,13 +376,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         crypto_rng=args.seed,
         **_fold_layout(args),
     )
-    try:
-        return asyncio.run(_serve_until_signal(server))
-    except InfeasiblePlanError as infeasible:
-        print(f"error: {infeasible}", file=sys.stderr)
-        print("hint: relax the eps targets or enlarge --flush-size",
-              file=sys.stderr)
-        return 2
+    return asyncio.run(_serve_until_signal(server))
 
 
 async def _serve_until_signal(server) -> int:
@@ -504,59 +461,69 @@ def build_parser() -> argparse.ArgumentParser:
                    default="basic")
     p.set_defaults(func=_cmd_fig4)
 
+    def deployment(p: argparse.ArgumentParser) -> None:
+        # The flags stream and serve share: one deployment, two front ends.
+        p.add_argument("--seed", type=int, default=2020)
+        p.add_argument("--delta", type=float, default=1e-9)
+        p.add_argument("--d", type=int, default=32)
+        p.add_argument("--flush-size", type=int, default=1000)
+        p.add_argument("--epoch-size", type=int, default=2000,
+                       help="reports per epoch (serve: expected); prices "
+                            "the lifetime budget with --budget-epochs")
+        p.add_argument("--eps1", type=float, default=1.0)
+        p.add_argument("--eps2", type=float, default=3.0)
+        p.add_argument("--eps3", type=float, default=6.0)
+        p.add_argument("--backend", choices=["plain", "sequential", "peos"],
+                       default="plain")
+        p.add_argument("--shufflers", type=int, default=3)
+        p.add_argument("--composition", choices=["basic", "advanced"],
+                       default="basic")
+        p.add_argument("--shards", type=int, default=1,
+                       help="fold-aggregator shards (estimates are "
+                            "bit-identical at any shard count)")
+        p.add_argument("--fold-backend", choices=["serial", "process"],
+                       default="serial",
+                       help="fold executor: inline, or a spawn-safe process "
+                            "pool (requires --backend plain)")
+        p.add_argument("--no-shm", action="store_true",
+                       help="ship process-fold batches by pickling instead "
+                            "of zero-copy shared memory (bit-identical, "
+                            "slower)")
+        p.add_argument("--fold-workers", type=int, default=None,
+                       help="fold worker processes (default: "
+                            "min(shards, cores))")
+        p.add_argument("--fold-timeout", type=float, default=None,
+                       metavar="SECONDS",
+                       help="treat a process fold exceeding this wall time "
+                            "as hung and retry it (default: no timeout)")
+        p.add_argument("--fold-retries", type=int, default=2,
+                       help="consecutive retries of a failed fold before "
+                            "the transport degrades one rung "
+                            "(shm -> pickle -> serial)")
+        p.add_argument("--no-degrade", action="store_true",
+                       help="fail hard when the fold retry budget is spent "
+                            "instead of degrading the transport")
+        p.add_argument("--fail-point", action="append", default=None,
+                       metavar="SPEC",
+                       help="chaos testing: arm a failpoint, e.g. "
+                            "'fold.worker:kill:every=3', "
+                            "'store.commit:raise:once' or "
+                            "'server.ingest:raise:at=1' (repeatable; "
+                            "estimates stay bit-identical when the run "
+                            "survives)")
+        p.add_argument("--state-db", default=None, metavar="PATH",
+                       help="journal budget charges, the flush log and "
+                            "epoch snapshots to this SQLite file "
+                            "(crash-safe; requires --backend plain)")
+
     p = sub.add_parser("stream", help="streaming telemetry service demo")
-    p.add_argument("--seed", type=int, default=2020)
-    p.add_argument("--delta", type=float, default=1e-9)
+    deployment(p)
     p.add_argument("--epochs", type=int, default=4)
-    p.add_argument("--epoch-size", type=int, default=2000)
-    p.add_argument("--flush-size", type=int, default=1000)
-    p.add_argument("--d", type=int, default=32)
-    p.add_argument("--eps1", type=float, default=1.0)
-    p.add_argument("--eps2", type=float, default=3.0)
-    p.add_argument("--eps3", type=float, default=6.0)
     p.add_argument("--budget-epochs", type=int, default=None,
                    help="epochs the lifetime budget admits (default one "
                         "fewer than --epochs, so a rejection is shown)")
-    p.add_argument("--backend", choices=["plain", "sequential", "peos"],
-                   default="plain")
-    p.add_argument("--shufflers", type=int, default=3)
-    p.add_argument("--composition", choices=["basic", "advanced"],
-                   default="basic")
     p.add_argument("--exponent", type=float, default=1.3,
                    help="Zipf exponent of the synthetic workload")
-    p.add_argument("--shards", type=int, default=1,
-                   help="fold-aggregator shards (estimates are "
-                        "bit-identical at any shard count)")
-    p.add_argument("--fold-backend", choices=["serial", "process"],
-                   default="serial",
-                   help="fold executor: inline, or a spawn-safe process "
-                        "pool (requires --backend plain)")
-    p.add_argument("--no-shm", action="store_true",
-                   help="ship process-fold batches by pickling instead of "
-                        "zero-copy shared memory (bit-identical, slower)")
-    p.add_argument("--fold-workers", type=int, default=None,
-                   help="fold worker processes (default: min(shards, cores))")
-    p.add_argument("--fold-timeout", type=float, default=None,
-                   metavar="SECONDS",
-                   help="treat a process fold exceeding this wall time as "
-                        "hung and retry it (default: no timeout)")
-    p.add_argument("--fold-retries", type=int, default=2,
-                   help="consecutive retries of a failed fold before the "
-                        "transport degrades one rung "
-                        "(shm -> pickle -> serial)")
-    p.add_argument("--no-degrade", action="store_true",
-                   help="fail hard when the fold retry budget is spent "
-                        "instead of degrading the transport")
-    p.add_argument("--fail-point", action="append", default=None,
-                   metavar="SPEC",
-                   help="chaos testing: arm a failpoint, e.g. "
-                        "'fold.worker:kill:every=3' or "
-                        "'store.commit:raise:once' (repeatable; estimates "
-                        "stay bit-identical when the run survives)")
-    p.add_argument("--state-db", default=None, metavar="PATH",
-                   help="persist budget charges, the flush log, and epoch "
-                        "snapshots to this SQLite file (crash-safe; "
-                        "requires --backend plain)")
     p.add_argument("--resume", action="store_true",
                    help="resume the run stored in --state-db instead of "
                         "starting fresh (pass the same flags as the "
@@ -570,6 +537,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_stream)
 
     p = sub.add_parser("serve", help="HTTP front door over the pipeline")
+    deployment(p)
+    p.add_argument("--budget-epochs", type=int, default=4,
+                   help="epochs the lifetime budget admits")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8000,
                    help="listen port (0 picks a free one, printed at start)")
@@ -583,52 +553,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--retry-after", type=float, default=1.0,
                    metavar="SECONDS",
                    help="delay advertised in the 429 Retry-After header")
-    p.add_argument("--seed", type=int, default=2020)
-    p.add_argument("--delta", type=float, default=1e-9)
-    p.add_argument("--d", type=int, default=32)
-    p.add_argument("--flush-size", type=int, default=1000)
-    p.add_argument("--epoch-size", type=int, default=2000,
-                   help="expected reports per epoch (prices the lifetime "
-                        "budget together with --budget-epochs)")
-    p.add_argument("--budget-epochs", type=int, default=4,
-                   help="epochs the lifetime budget admits")
-    p.add_argument("--eps1", type=float, default=1.0)
-    p.add_argument("--eps2", type=float, default=3.0)
-    p.add_argument("--eps3", type=float, default=6.0)
-    p.add_argument("--backend", choices=["plain", "sequential", "peos"],
-                   default="plain")
-    p.add_argument("--shufflers", type=int, default=3)
-    p.add_argument("--composition", choices=["basic", "advanced"],
-                   default="basic")
-    p.add_argument("--shards", type=int, default=1,
-                   help="fold-aggregator shards (estimates are "
-                        "bit-identical at any shard count)")
-    p.add_argument("--fold-backend", choices=["serial", "process"],
-                   default="serial")
-    p.add_argument("--fold-workers", type=int, default=None)
-    p.add_argument("--fold-timeout", type=float, default=None,
-                   metavar="SECONDS",
-                   help="treat a process fold exceeding this wall time as "
-                        "hung and retry it (default: no timeout)")
-    p.add_argument("--fold-retries", type=int, default=2,
-                   help="consecutive retries of a failed fold before the "
-                        "transport degrades one rung")
-    p.add_argument("--no-degrade", action="store_true",
-                   help="fail hard when the fold retry budget is spent")
     p.add_argument("--max-recoveries", type=int, default=3,
                    help="ingest-crash recovery attempts from --state-db "
                         "before the server fails hard (0 disables "
                         "self-healing)")
-    p.add_argument("--fail-point", action="append", default=None,
-                   metavar="SPEC",
-                   help="chaos testing: arm a failpoint, e.g. "
-                        "'server.ingest:raise:at=1' (repeatable)")
-    p.add_argument("--no-shm", action="store_true",
-                   help="ship process-fold batches by pickling instead of "
-                        "zero-copy shared memory")
-    p.add_argument("--state-db", default=None, metavar="PATH",
-                   help="journal durable state to this SQLite file "
-                        "(opened on the server's ingest thread)")
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(
@@ -636,10 +564,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="static invariant linter (determinism, ownership, resources, "
              "error discipline; see repro.devtools)",
     )
-    from repro.devtools.cli import build_lint_parser
+    from repro.devtools.cli import build_lint_parser, run_lint
 
     build_lint_parser(p)
-    p.set_defaults(func=_cmd_lint)
+    p.set_defaults(func=run_lint)
 
     p = sub.add_parser("plan", help="Section VI-D PEOS planner")
     p.add_argument("--eps1", type=float, required=True)
@@ -654,15 +582,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command: the one place that arms failpoints and exits 2."""
     args = build_parser().parse_args(argv)
     from repro.api import ConfigError
+    from repro.core import InfeasiblePlanError
+    from repro.persistence import StateStoreError
 
     try:
+        if getattr(args, "fail_point", None):
+            from repro.faults import install
+
+            # Arms this process and exports REPRO_FAIL_POINTS so spawned
+            # fold workers self-arm; a junk spec is a ConfigError.
+            install(args.fail_point)
         return args.func(args)
-    except ConfigError as invalid:
-        # Uniform exit for any misconfiguration the facade rejects
-        # (e.g. a non-positive --eps value argparse cannot know about).
-        print(f"error: {invalid}", file=sys.stderr)
+    except (ConfigError, InfeasiblePlanError, StateStoreError) as refused:
+        # A field the library names, targets no plan meets, or a store
+        # that holds the wrong run: a clean exit 2, never a traceback.
+        print(f"error: {refused}", file=sys.stderr)
+        if isinstance(refused, InfeasiblePlanError):
+            print("hint: relax the eps targets or enlarge the population "
+                  "(--flush-size; --n for plan)", file=sys.stderr)
         return 2
 
 

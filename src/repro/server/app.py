@@ -592,11 +592,14 @@ class TelemetryServer:
                 f"work: {self._failure}",
             )
 
-    def _accept_reports(self, request: Request) -> Tuple[dict, int, tuple]:
-        self._refuse_if_failed()
-        values = self._validated_values(request)
+    def _enqueue(self, kind: str, values, future) -> _Job:
+        """Queue one job at the next ``submit_seq``, in acceptance order.
+
+        A full queue is a 429 with ``Retry-After``; the refused job takes
+        no sequence number.
+        """
         job = _Job(
-            kind="reports", values=values, seq=self._submit_seq, future=None
+            kind=kind, values=values, seq=self._submit_seq, future=future
         )
         try:
             self._queue.put_nowait(job)
@@ -610,6 +613,12 @@ class TelemetryServer:
                 headers=(("Retry-After", str(retry_after)),),
             ) from None
         self._submit_seq += 1
+        return job
+
+    def _accept_reports(self, request: Request) -> Tuple[dict, int, tuple]:
+        self._refuse_if_failed()
+        values = self._validated_values(request)
+        job = self._enqueue("reports", values, None)
         self.accepted_batches += 1
         self.accepted_reports += len(values)
         return (
@@ -626,21 +635,7 @@ class TelemetryServer:
     async def _close_epoch(self) -> Tuple[dict, int, tuple]:
         self._refuse_if_failed()
         future = self._loop.create_future()
-        job = _Job(
-            kind="epoch", values=None, seq=self._submit_seq, future=future
-        )
-        try:
-            self._queue.put_nowait(job)
-        except asyncio.QueueFull:
-            self.rejected_429 += 1
-            retry_after = max(1, round(self.config.retry_after_s))
-            raise HttpError(
-                429,
-                f"ingest queue is full ({self.config.max_pending} pending "
-                f"batches); retry after Retry-After seconds",
-                headers=(("Retry-After", str(retry_after)),),
-            ) from None
-        self._submit_seq += 1
+        self._enqueue("epoch", None, future)
         try:
             report = await future
         except Exception as failure:

@@ -14,7 +14,7 @@ built from and what it reports:
   the run's operational metrics and final state;
 * :func:`release_entropy` / :func:`flush_rng` — the per-flush release
   streams;
-* :func:`oracle_from_plan` and :func:`check_replay_support`.
+* :func:`check_sizes`, :func:`oracle_from_plan`, :func:`check_replay_support`.
 
 The release streams are what make estimates layout-invariant: a flush's
 fakes and permutation depend only on the deployment seed and the flush's
@@ -85,10 +85,7 @@ class StreamConfig:
         error surfacing later from deep inside the buffer or aggregator.
         """
         validate_domain_size(self.d)
-        if self.flush_size < 1:
-            raise ConfigError(
-                "flush_size", f"must be >= 1, got {self.flush_size}"
-            )
+        check_sizes(flush_size=self.flush_size)
         if not self.eps_budget > 0.0:
             raise ConfigError(
                 "eps_budget", f"must be positive, got {self.eps_budget}"
@@ -140,13 +137,9 @@ class StreamConfig:
         schedule.  ``mechanism`` ("grr"/"solh") restricts the planner's
         choice; None keeps the paper's free variance-optimal pick.
         """
-        if admitted_flushes < 1:
-            raise ConfigError(
-                "admitted_flushes",
-                f"must admit at least 1 flush, got {admitted_flushes}",
-            )
-        plan = plan_peos(
-            *eps_targets, n=flush_size, d=d, delta=delta, mechanism=mechanism
+        plan = _plan_flush(
+            d, flush_size, eps_targets, delta, mechanism,
+            admitted_flushes=admitted_flushes,
         )
         return cls(
             d=d,
@@ -178,17 +171,9 @@ class StreamConfig:
         remainder when ``epoch_size`` is not a multiple of ``flush_size``.
         ``mechanism`` ("grr"/"solh") restricts the planner's choice.
         """
-        if admitted_epochs < 1:
-            raise ConfigError(
-                "admitted_epochs",
-                f"must admit at least 1 epoch, got {admitted_epochs}",
-            )
-        if epoch_size < 1:
-            raise ConfigError(
-                "epoch_size", f"must be >= 1, got {epoch_size}"
-            )
-        plan = plan_peos(
-            *eps_targets, n=flush_size, d=d, delta=delta, mechanism=mechanism
+        plan = _plan_flush(
+            d, flush_size, eps_targets, delta, mechanism,
+            epoch_size=epoch_size, admitted_epochs=admitted_epochs,
         )
         flushes = admitted_epochs * flushes_per_epoch(epoch_size, flush_size)
         return cls(
@@ -277,12 +262,25 @@ def flush_release_epsilon(
     return peos_epsilon_collusion_solh(plan.d_prime, n_fake, plan.delta)
 
 
+def check_sizes(**sizes: int) -> None:
+    """Refuse a non-positive size with a ``ConfigError`` naming it."""
+    for name, value in sizes.items():
+        if value < 1:
+            raise ConfigError(name, f"must be >= 1, got {value}")
+
+
+def _plan_flush(d: int, flush_size: int, eps_targets: tuple, delta: float,
+                mechanism: Optional[str], **sizes: int) -> PeosPlan:
+    """Plan one flush; sizes first, or a bad one reads as infeasible."""
+    check_sizes(flush_size=flush_size, **sizes)
+    return plan_peos(
+        *eps_targets, n=flush_size, d=d, delta=delta, mechanism=mechanism
+    )
+
+
 def flushes_per_epoch(epoch_size: int, flush_size: int) -> int:
     """Releases one epoch produces: full flushes plus any remainder."""
-    if epoch_size < 1 or flush_size < 1:
-        raise ValueError(
-            f"sizes must be >= 1, got epoch={epoch_size}, flush={flush_size}"
-        )
+    check_sizes(epoch_size=epoch_size, flush_size=flush_size)
     return -(-epoch_size // flush_size)
 
 

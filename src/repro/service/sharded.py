@@ -88,7 +88,7 @@ import threading
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
-from multiprocessing import get_context
+from multiprocessing import get_context, parent_process
 from typing import Callable, Iterable, List, Optional
 
 import numpy as np
@@ -188,10 +188,25 @@ def _init_fold_worker(
     parent used, so both sides hold identical estimators.
     """
     global _WORKER_STATE
+    threading.Thread(
+        target=_exit_with_parent, name="repro-parent-watch", daemon=True
+    ).start()
     fo = oracle_from_plan(d, plan)
     backend = make_backend(backend_name, r=r)
     backend.prepare(fo, np.random.default_rng(0))
     _WORKER_STATE = (fo, backend)
+
+
+def _exit_with_parent() -> None:
+    """Fold-worker watchdog: exit the moment the parent process dies.
+
+    An orphaned worker would live on under init, holding the parent's
+    stdout/stderr pipes open (a reader waiting for EOF hangs) and its
+    resource tracker alive (so the parent's shm segments stay in
+    ``/dev/shm``).  The parent's sentinel turns ready only when it exits.
+    """
+    parent_process().join()
+    os._exit(1)
 
 
 def _worker_ready() -> bool:
@@ -440,19 +455,7 @@ class ShardedPipeline:
             self._restore(_snapshot)
 
     @classmethod
-    def resume(
-        cls,
-        store: StateStore,
-        n_shards: int = 1,
-        fold_backend: str = "serial",
-        workers: Optional[int] = None,
-        backend: Optional[ShuffleBackend] = None,
-        clock: Callable[[], float] = time.perf_counter,
-        transport: str = "shm",
-        fold_timeout: Optional[float] = None,
-        max_fold_retries: int = 2,
-        degrade: bool = True,
-    ) -> "ShardedPipeline":
+    def resume(cls, store: StateStore, **layout) -> "ShardedPipeline":
         """Rebuild the run persisted in ``store`` and continue it.
 
         Recovery invariants (pinned by ``tests/persistence/``):
@@ -468,26 +471,18 @@ class ShardedPipeline:
           generator, buffer remainder and flush counter make every
           subsequent draw match an uninterrupted run at the same seed.
 
-        The execution layout (``n_shards``, ``fold_backend``,
-        ``workers``, ``transport``, and the fault-tolerance knobs) is
-        chosen fresh — it never affects estimates.
+        The execution ``layout`` — any constructor keyword but the
+        config, rng and store (``n_shards``, ``fold_backend``,
+        ``workers``, ``transport``, the fault-tolerance knobs, ...) — is
+        chosen fresh and forwarded as is; it never affects estimates.
         """
         snapshot = store.load_run()
-        rng = generator_from_state(snapshot.rng_state)
         return cls(
             snapshot.config,
-            rng,
-            n_shards=n_shards,
-            fold_backend=fold_backend,
-            workers=workers,
-            backend=backend,
-            clock=clock,
+            generator_from_state(snapshot.rng_state),
             store=store,
-            transport=transport,
-            fold_timeout=fold_timeout,
-            max_fold_retries=max_fold_retries,
-            degrade=degrade,
             _snapshot=snapshot,
+            **layout,
         )
 
     # -- executor lifecycle ------------------------------------------------

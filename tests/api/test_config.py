@@ -262,8 +262,17 @@ class TestStreamConfigValidation:
         with pytest.raises(ConfigError) as excinfo:
             StreamConfig.from_targets(d=16, flush_size=100, admitted_flushes=0)
         assert excinfo.value.field == "admitted_flushes"
+        # Named before the planner could call n=0 infeasible.
+        with pytest.raises(ConfigError) as excinfo:
+            StreamConfig.from_targets(d=16, flush_size=0)
+        assert excinfo.value.field == "flush_size"
 
     def test_for_epochs_bad_sizes(self):
+        with pytest.raises(ConfigError) as excinfo:
+            StreamConfig.for_epochs(
+                d=16, flush_size=0, epoch_size=100, admitted_epochs=1
+            )
+        assert excinfo.value.field == "flush_size"
         with pytest.raises(ConfigError) as excinfo:
             StreamConfig.for_epochs(
                 d=16, flush_size=100, epoch_size=0, admitted_epochs=1

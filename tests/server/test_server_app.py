@@ -92,6 +92,26 @@ def test_server_config_names_bad_fields():
         _session().serve(100, max_body_bytes=10)
 
 
+def test_failed_start_closes_the_store_it_opened():
+    closed = []
+
+    class Store:
+        def close(self):
+            closed.append(True)
+
+    async def run():
+        # A store factory, as repro serve passes; flush_size 0 fails the
+        # pipeline build after the factory has opened the store.
+        server = _session().serve(
+            0, port=0, epoch_size=300, admitted_epochs=4, store=Store
+        )
+        with pytest.raises(ConfigError, match="flush_size"):
+            await server.start()
+
+    asyncio.run(run())
+    assert closed == [True]
+
+
 def test_health_config_and_epoch_close():
     async def run():
         async with _serve() as server:
@@ -224,7 +244,8 @@ def test_oversized_body_is_413():
 
 
 def test_backpressure_never_drops_an_accepted_report():
-    """Fill the bounded queue: overflow gets 429 + Retry-After, every
+    """Fill the bounded queue: overflow gets 429 + Retry-After — an epoch
+    close too, which takes no sequence number — and every
     202-acknowledged batch reaches the pipeline once unblocked."""
     gate = threading.Event()
     stub = StubPipeline(gate=gate)
@@ -249,6 +270,9 @@ def test_backpressure_never_drops_an_accepted_report():
                 assert refused is not None, "queue never filled"
                 assert refused.retry_after() == 2.0
                 assert refused.body["error"]["status"] == 429
+                close = await client.request("POST", "/api/epochs")
+                assert close.status == 429
+                assert close.retry_after() == 2.0
                 # unblock the pipeline and wait for the queue to drain
                 gate.set()
                 for __ in range(200):
@@ -257,10 +281,12 @@ def test_backpressure_never_drops_an_accepted_report():
                         break
                     await asyncio.sleep(0.01)
                 assert health["pending"] == 0
-                assert health["rejected_429"] >= 1
-                # a retry of the refused batch is accepted now
+                assert health["rejected_429"] >= 2
+                # a retry of the refused batch is accepted now, right
+                # after the last accepted one: no refusal took a number
                 retry = await client.submit([0])
                 assert retry.status == 202
+                assert retry.body["submit_seq"] == len(accepted)
                 accepted.append(0)
         # every 202 reached the pipeline, in acceptance order
         applied = [int(batch[0]) for batch in stub.received]

@@ -8,6 +8,12 @@ same seed — and ``/dev/shm`` empty afterwards.
 """
 
 import os
+import select
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +22,7 @@ from repro import faults
 from repro.faults import ENV_VAR, InjectedFault
 from repro.persistence import SqliteStateStore
 from repro.service import ShardedPipeline, StreamConfig
-from repro.service.shm import leaked_segments
+from repro.service.shm import SEGMENT_PREFIX, leaked_segments
 
 D = 16
 SEED = 5
@@ -219,3 +225,85 @@ class TestSupervisedRecovery:
         assert result.estimates.tobytes() == reference.estimates.tobytes()
         assert [hop["to"] for hop in stats["degradations"]] == ["pickle"]
         assert leaked_segments() == []
+
+
+#: a parent that runs one two-shard process-fold epoch over shm, prints
+#: its fold workers' pids, then waits (stdin EOF) to be killed
+_ORPHAN_PARENT = """
+import sys
+import numpy as np
+from repro.service import ShardedPipeline, StreamConfig
+
+config = StreamConfig.from_targets(d=16, flush_size=100, admitted_flushes=12)
+pipeline = ShardedPipeline(
+    config, np.random.default_rng(5), n_shards=2, fold_backend="process",
+    workers=2,
+)
+pipeline.submit(np.random.default_rng(7).integers(0, 16, 300))
+pipeline.end_epoch()
+print(*pipeline._executor._processes, flush=True)
+sys.stdin.read()
+"""
+
+
+def _alive(pid: int) -> bool:
+    """True while ``pid`` runs; a zombie nobody reaps counts as gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="no /proc to scan")
+class TestOrphanedWorkers:
+    def test_workers_exit_when_the_parent_is_killed(self):
+        """SIGKILL a parent mid-run: its idle fold workers follow it.
+
+        Orphaned workers would live on under init, holding the parent's
+        pipes and its resource tracker open, so its shm segments would
+        stay in ``/dev/shm`` until someone killed the workers.
+        """
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))
+        )
+        parent = subprocess.Popen(
+            [sys.executable, "-c", _ORPHAN_PARENT],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            env=env, start_new_session=True,
+        )
+        prefix = f"{SEGMENT_PREFIX}_{parent.pid}_"
+
+        def segments():
+            return [n for n in leaked_segments() if n.startswith(prefix)]
+
+        try:
+            ready, __, __ = select.select([parent.stdout], [], [], 120)
+            assert ready, "the parent never reported its fold workers"
+            workers = [int(pid) for pid in parent.stdout.readline().split()]
+            assert workers and all(_alive(pid) for pid in workers)
+            if _HAS_DEV_SHM:
+                assert segments(), "the parent folded without shm"
+            parent.kill()
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                if not any(map(_alive, workers)) and not segments():
+                    break
+                time.sleep(0.05)
+            assert [pid for pid in workers if _alive(pid)] == []
+            assert segments() == []
+        finally:
+            try:
+                os.killpg(parent.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            parent.stdin.close()
+            parent.stdout.close()
+            parent.wait()
+            # The group kill takes the resource tracker down too; never
+            # leave a failed run's segments to the next test's scan.
+            for name in segments():
+                os.unlink(os.path.join("/dev/shm", name))

@@ -10,6 +10,17 @@ import pytest
 
 from repro.cli import build_parser, main
 
+ROOT = Path(__file__).parent.parent
+
+
+def _env() -> dict:
+    """This process's environment with the source tree on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH")))
+    )
+    return env
+
 
 class TestParser:
     def test_requires_command(self):
@@ -111,20 +122,61 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "mechanism" in out and "n_r" in out
 
+    def test_infeasible_plan_exits_cleanly(self, capsys):
+        assert main([
+            "plan", "--eps1", "0.01", "--eps2", "0.02", "--eps3", "0.03",
+            "--n", "10", "--d", "4",
+        ]) == 2
+        assert "no PEOS configuration meets" in capsys.readouterr().err
+
+
+#: one bad value per deployment flag, and the field the library names
+BAD_DEPLOYMENT_VALUES = [
+    (["--flush-size", "0"], "flush_size"),
+    (["--epoch-size", "0"], "epoch_size"),
+    (["--budget-epochs", "0"], "admitted_epochs"),
+    (["--shards", "0"], "shards"),
+    (["--fold-retries", "-1"], "fold_retries"),
+]
+
+
+class TestDeploymentFlags:
+    """``stream`` and ``serve`` share one flag group and one validator."""
+
+    def test_shared_flags_share_defaults(self):
+        stream = vars(build_parser().parse_args(["stream"]))
+        serve = vars(build_parser().parse_args(["serve"]))
+        shared = (stream.keys() & serve.keys()) - {"command", "func"}
+        assert len(shared) == 21
+        assert {k: stream[k] for k in shared if k != "budget_epochs"} == {
+            k: serve[k] for k in shared if k != "budget_epochs"
+        }
+
+    @pytest.mark.parametrize("flags,field", BAD_DEPLOYMENT_VALUES)
+    def test_stream_names_the_bad_field(self, capsys, flags, field):
+        assert main(["stream", "--d", "8", *flags]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,field", BAD_DEPLOYMENT_VALUES)
+    def test_serve_names_the_bad_field(self, flags, field):
+        # A subprocess with a timeout: a value nothing checks would serve
+        # forever.  A bad --state-db cannot guard this, because serve
+        # opens the store before it plans.
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--d", "8", *flags],
+            capture_output=True, text=True, env=_env(), cwd=ROOT, timeout=60,
+        )
+        assert completed.returncode == 2, completed.stderr
+        assert field in completed.stderr
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m_repro(self):
         """``python -m repro`` is identical to ``python -m repro.cli``."""
-        root = Path(__file__).parent.parent
-        env = dict(os.environ)
-        src = str(root / "src")
-        env["PYTHONPATH"] = (
-            src + os.pathsep + env["PYTHONPATH"]
-            if env.get("PYTHONPATH") else src
-        )
         completed = subprocess.run(
             [sys.executable, "-m", "repro", "table1", "--eps", "0.25"],
-            capture_output=True, text=True, env=env, cwd=root,
+            capture_output=True, text=True, env=_env(), cwd=ROOT,
         )
         assert completed.returncode == 0
         assert "BBGN19" in completed.stdout
@@ -137,7 +189,7 @@ class TestServeCommand:
         assert main(["serve", "--port", "70000"]) == 2
         assert "port" in capsys.readouterr().err
         assert main(["serve", "--flush-size", "0"]) == 2
-        assert "--flush-size" in capsys.readouterr().err
+        assert "flush_size" in capsys.readouterr().err
         # inf passes a bare "> 0" check but cannot fill a Retry-After.
         # The bad --state-db makes a missed check exit, not serve forever.
         bad = str(tmp_path / "missing" / "state.db")
@@ -171,13 +223,6 @@ class TestServeCommand:
         from repro.service.shm import SEGMENT_PREFIX, leaked_segments
 
         d, seed, epochs = 8, 7, 2
-        root = Path(__file__).parent.parent
-        env = dict(os.environ)
-        src = str(root / "src")
-        env["PYTHONPATH"] = (
-            src + os.pathsep + env["PYTHONPATH"]
-            if env.get("PYTHONPATH") else src
-        )
         process = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0",
              "--d", str(d), "--flush-size", "100", "--epoch-size", "300",
@@ -186,7 +231,7 @@ class TestServeCommand:
              "--max-pending", "2",
              "--state-db", str(tmp_path / "serve.db")],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            text=True, env=env, cwd=root, start_new_session=True,
+            text=True, env=_env(), cwd=ROOT, start_new_session=True,
         )
 
         def server_segments():
@@ -306,6 +351,33 @@ class TestStreamPersistence:
         assert main(self.STREAM_ARGS + ["--state-db", bad]) == 2
         assert "state_db" in capsys.readouterr().err
 
+    def test_stored_run_refuses_a_fresh_start(self, capsys, tmp_path):
+        db = str(tmp_path / "run.db")
+        assert main(self.STREAM_ARGS + ["--state-db", db]) == 0
+        capsys.readouterr()
+        assert main(self.STREAM_ARGS + ["--state-db", db]) == 2
+        assert "already holds a run" in capsys.readouterr().err
+        assert main([
+            "serve", "--port", "0", "--d", "8", "--flush-size", "100",
+            "--epoch-size", "200", "--state-db", db,
+        ]) == 2
+        assert "already holds a run" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,field", [
+        (["--epoch-size", "0"], "epoch_size"),
+        (["--budget-epochs", "-3"], "admitted_epochs"),
+    ])
+    def test_resume_names_bad_sizes(self, capsys, tmp_path, flags, field):
+        # The stored run ignores these flags, but they still size the
+        # synthetic workload and the printed admitted-flush count.
+        db = str(tmp_path / "run.db")
+        assert main(self.STREAM_ARGS + ["--state-db", db]) == 0
+        capsys.readouterr()
+        assert main(
+            self.STREAM_ARGS + ["--state-db", db, "--resume", *flags]
+        ) == 2
+        assert field in capsys.readouterr().err
+
     def test_resume_of_empty_db_exits_cleanly(self, capsys, tmp_path):
         empty = str(tmp_path / "state.db")
         assert main(
@@ -330,13 +402,7 @@ class TestStreamPersistence:
         """Kill a persisted run mid-stream (exit 3), resume, compare."""
         import json
 
-        root = Path(__file__).parent.parent
-        env = dict(os.environ)
-        src = str(root / "src")
-        env["PYTHONPATH"] = (
-            src + os.pathsep + env["PYTHONPATH"]
-            if env.get("PYTHONPATH") else src
-        )
+        env = _env()
         base = [sys.executable, "-m", "repro"] + self.STREAM_ARGS
         clean_json = str(tmp_path / "clean.json")
         resumed_json = str(tmp_path / "resumed.json")
@@ -344,13 +410,13 @@ class TestStreamPersistence:
 
         clean = subprocess.run(
             base + ["--estimates-out", clean_json],
-            capture_output=True, text=True, env=env, cwd=root,
+            capture_output=True, text=True, env=env, cwd=ROOT,
         )
         assert clean.returncode == 0, clean.stderr
 
         crashed = subprocess.run(
             base + ["--state-db", db, "--crash-after-epoch", "2"],
-            capture_output=True, text=True, env=env, cwd=root,
+            capture_output=True, text=True, env=env, cwd=ROOT,
         )
         assert crashed.returncode == 3, crashed.stderr
         assert "simulated crash" in crashed.stderr
@@ -358,7 +424,7 @@ class TestStreamPersistence:
         resumed = subprocess.run(
             base + ["--state-db", db, "--resume",
                     "--estimates-out", resumed_json],
-            capture_output=True, text=True, env=env, cwd=root,
+            capture_output=True, text=True, env=env, cwd=ROOT,
         )
         assert resumed.returncode == 0, resumed.stderr
         assert "resumed from" in resumed.stdout
