@@ -42,7 +42,7 @@ import json
 import os
 import sqlite3
 from pathlib import Path
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -436,20 +436,21 @@ class SqliteStateStore(StateStore):
             epoch_reports=epoch_reports,
         )
 
-    def estimate_snapshot(self, epoch: int) -> np.ndarray:
-        """The estimate vector committed when ``epoch`` closed."""
-        row = self._conn.execute(
-            "SELECT estimates FROM epochs WHERE epoch = ?", (int(epoch),)
-        ).fetchone()
-        if row is None:
-            raise StateStoreError(f"no epoch {epoch} in {self.path}")
-        return _float64_from_blob(row[0])
-
-    def epoch_log(self):
-        """Direct read of ``(epoch, estimates)`` rows, no full recovery."""
+    def epoch_log(self, first: int = 0, count: Optional[int] = None):
+        """A range scan of the primary key (``LIMIT -1``: no limit)."""
         return [
             (int(epoch), _float64_from_blob(estimates))
             for epoch, estimates in self._conn.execute(
-                "SELECT epoch, estimates FROM epochs ORDER BY epoch"
+                "SELECT epoch, estimates FROM epochs WHERE epoch >= ? "
+                "ORDER BY epoch LIMIT ?",
+                (int(first), -1 if count is None else int(count)),
             )
         ]
+
+    def epoch_count(self) -> int:
+        # The log is dense from epoch 0, so its largest epoch gives the
+        # count from the primary key in O(log E); COUNT(*) walks every row.
+        (last,) = self._conn.execute(
+            "SELECT MAX(epoch) FROM epochs"
+        ).fetchone()
+        return 0 if last is None else int(last) + 1

@@ -96,27 +96,22 @@ class StateStore(ABC):
     def load_run(self) -> RunSnapshot:
         """Read the whole run back for recovery."""
 
-    def epoch_log(self) -> List[tuple]:
-        """Every closed epoch's released estimates, in epoch order.
+    @abstractmethod
+    def epoch_log(
+        self, first: int = 0, count: Optional[int] = None
+    ) -> List[tuple]:
+        """``[(epoch, estimates), ...]`` for epochs ``first`` up to
+        ``first + count - 1`` (or the last), reading no other epoch.
 
-        Returns ``[(epoch, estimates), ...]`` — the read path behind the
-        front door's ``GET /api/estimates``.  An empty store (or one
-        whose run has closed no epochs yet) is an empty log, not an
-        error.  The base implementation goes through :meth:`load_run`;
-        stores with a cheaper direct path override it.
+        The read path behind ``GET /api/estimates``.  Epochs are recorded
+        densely from 0 — each as it closes, and resume records the one
+        in flight — so ``first`` is a position in the log as well as an
+        epoch number.  No closed epoch is an empty log, not an error.
         """
-        try:
-            snapshot = self.load_run()
-        except StateStoreError:
-            return []
-        return [
-            (report.epoch, self.estimate_snapshot(report.epoch))
-            for report in snapshot.epoch_reports
-        ]
 
-    def estimate_snapshot(self, epoch: int) -> np.ndarray:
-        """The estimate vector committed when ``epoch`` closed."""
-        raise NotImplementedError
+    @abstractmethod
+    def epoch_count(self) -> int:
+        """How many closed epochs :meth:`epoch_log` can return."""
 
     def close(self) -> None:  # pragma: no cover - trivial default
         """Release any underlying resources (idempotent)."""
@@ -147,7 +142,7 @@ class MemoryStateStore(StateStore):
         self._flushes: Dict[int, StoredFlush] = {}
         self._charges: List[tuple] = []
         self._epoch_reports: List[object] = []
-        self._estimates: Dict[int, np.ndarray] = {}
+        self._epoch_rows: List[tuple] = []
         self._checkpoint: Optional[IngestCheckpoint] = None
 
     def begin_run(
@@ -244,21 +239,16 @@ class MemoryStateStore(StateStore):
     ) -> None:
         self._require_run()
         self._epoch_reports.append(report)
-        self._estimates[report.epoch] = estimates
+        self._epoch_rows.append((report.epoch, estimates))
         self._checkpoint = checkpoint
 
-    def epoch_log(self) -> List[tuple]:
-        return [
-            (report.epoch, self._estimates[report.epoch])
-            for report in self._epoch_reports
-        ]
+    def epoch_log(
+        self, first: int = 0, count: Optional[int] = None
+    ) -> List[tuple]:
+        return self._epoch_rows[first:None if count is None else first + count]
 
-    def estimate_snapshot(self, epoch: int) -> np.ndarray:
-        """The estimate vector committed when ``epoch`` closed."""
-        estimates = self._estimates.get(int(epoch))
-        if estimates is None:
-            raise StateStoreError(f"no epoch {epoch} in this store")
-        return estimates
+    def epoch_count(self) -> int:
+        return len(self._epoch_rows)
 
     def load_run(self) -> RunSnapshot:
         self._require_run()

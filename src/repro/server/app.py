@@ -6,54 +6,59 @@ network service:
 
 * ``POST /api/reports`` — one JSON batch of raw values
   (``{"values": [3, 0, 7, ...]}``), validated against the deployment's
-  domain before it is accepted.  Accepted batches are enqueued on a
-  **bounded** ingest queue and acknowledged with HTTP 202 and their
-  ``submit_seq`` — the position in the pipeline's ingest order, which
-  is what makes a server run replayable in-process (the ingest RNG
-  privatizes in arrival order).  A full queue is explicit backpressure:
-  HTTP 429 with a ``Retry-After`` header, and the batch is *not*
-  accepted — every 202 is a promise the batch reaches the pipeline.
-* ``POST /api/epochs`` — close the current collection epoch; rides the
-  same queue (so it orders after every batch accepted before it) and
+  domain before it is accepted.  An accepted batch is one ingest job,
+  acknowledged with HTTP 202 and its ``submit_seq`` — the position in
+  the pipeline's ingest order, which is what makes a server run
+  replayable in-process (the ingest RNG privatizes in arrival order).
+  Once ``max_pending`` jobs wait behind the running one, backpressure
+  is explicit: HTTP 429 with a ``Retry-After`` header, and the batch is
+  *not* accepted — every 202 is a promise the batch reaches the
+  pipeline.
+* ``POST /api/epochs`` — close the current collection epoch; an ingest
+  job too (so it orders after every batch accepted before it), it
   returns the epoch's :class:`~repro.service.pipeline.EpochReport`.
-* ``GET /api/health`` / ``GET /api/config`` — liveness counters and the
-  canonical deployment parameters (the persisted ``StreamConfig``
-  serialization, plan included).
+* ``GET /api/health`` / ``GET /api/config`` — liveness counters (its
+  ``pending`` counts accepted jobs not yet finished, the running one
+  included) and the canonical deployment parameters (the persisted
+  ``StreamConfig`` serialization, plan included).
 * ``GET /api/estimates`` — released per-epoch estimates from the state
   store's epoch log, paginated per :mod:`repro.server.pagination`.
 
-Threading model: the event loop owns sockets, parsing, validation, and
-the queue; **one** ingest thread (a single-worker executor) owns the
-pipeline and its state store — it builds both at :meth:`start` (so a
-SQLite store's thread-bound connection lives where it is used), executes
-queued jobs strictly in acceptance order, and serves the epoch-log reads
-behind ``/api/estimates``.  The loop never blocks on a fold; the
-pipeline never sees two threads.
+Threading model: the event loop owns sockets, parsing, validation and
+the pending count; **one** ingest thread (a single-worker executor)
+owns the pipeline and its state store — it builds both at :meth:`start`
+(so a SQLite store's thread-bound connection lives where it is used).
+Its FIFO is the only queue: each accepted job is one submission, run
+strictly in acceptance order, and each ``/api/estimates`` page is read
+there between jobs.  The loop never blocks on a fold; the pipeline
+never sees two threads.
 
-If a queued job fails (a store error mid-run, say) and the server was
-*not* given a ``recover_factory``, it marks itself failed: in-flight
-epoch closes get HTTP 500, subsequent uploads get 503, and
-``/api/health`` reports the failure — queued batches that can no longer
-be applied are counted, never silently dropped.  With a
-``recover_factory`` (a zero-argument callable rebuilding the pipeline
-from its durable state store, see
-:meth:`repro.api.session.ShuffleSession.serve`), an ingest crash instead
-triggers bounded-backoff self-healing: the broken pipeline is closed,
-the factory resumes a fresh one from the store's write-ahead log (PR 6's
+If a job fails (a store error mid-run, say) and the server was *not*
+given a ``recover_factory``, it marks itself failed: in-flight epoch
+closes get HTTP 500, subsequent uploads get 503, and ``/api/health``
+reports the failure — accepted batches that can no longer be applied
+are counted, never silently dropped.  With a ``recover_factory`` (a
+zero-argument callable rebuilding the pipeline from its durable state
+store, see :meth:`repro.api.session.ShuffleSession.serve`), an ingest
+crash instead triggers bounded-backoff self-healing on the ingest
+thread, before the next job starts: the broken pipeline is closed, the
+factory resumes a fresh one from the store's write-ahead log (a
 bit-identical replay), and service continues — health reports
 ``degraded`` during the attempt and returns to ``ok`` after.  The job
 that crashed is still counted failed (its batch was never journaled);
-everything already accepted behind it applies to the recovered pipeline
-in order.  A factory that raises :class:`RecoveryUnsupportedError`
-(e.g. the deployment has no durable store) restores the fail-hard
-behavior.
+everything accepted behind it applies to the recovered pipeline in
+order.  A factory that raises :class:`RecoveryUnsupportedError` (e.g.
+the deployment has no durable store) restores the fail-hard behavior.
+While no pipeline is serving, every route but ``/api/health`` answers
+503 with ``Retry-After``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import math
-from concurrent.futures import ThreadPoolExecutor
+import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -71,7 +76,7 @@ from .http import (
     read_request,
     response_bytes,
 )
-from .pagination import paginate, parse_non_negative_int
+from .pagination import paginate
 
 #: schema tag of every front-door JSON payload family
 SERVER_SCHEMA = "repro.server/1"
@@ -109,8 +114,8 @@ class ServerConfig:
 
     host: str = "127.0.0.1"
     port: int = 8000
-    #: report batches (and epoch closes) the ingest queue holds before
-    #: uploads are refused with 429
+    #: accepted jobs (report batches and epoch closes) that may wait
+    #: behind the running one before uploads are refused with 429
     max_pending: int = 64
     #: request body cap; beyond it uploads get 413
     max_body_bytes: int = MAX_BODY_BYTES
@@ -164,16 +169,6 @@ class ServerConfig:
             )
 
 
-@dataclass
-class _Job:
-    """One unit of ingest work, executed in acceptance order."""
-
-    kind: str  # "reports" | "epoch"
-    values: Optional[np.ndarray]
-    seq: int
-    future: Optional[asyncio.Future]
-
-
 class TelemetryServer:
     """One deployment's HTTP front door; see the module docstring.
 
@@ -201,13 +196,17 @@ class TelemetryServer:
         self.pipeline = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._executor: Optional[ThreadPoolExecutor] = None
-        self._queue: Optional[asyncio.Queue] = None
-        self._consumer: Optional[asyncio.Task] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._closing = False
         self._failure: Optional[BaseException] = None
+        #: jobs accepted (the loop writes it) and jobs finished (the
+        #: ingest thread writes it); their difference is what is pending
         self._submit_seq = 0
+        self._applied = 0
         self._recovering = False
+        self._retry_after = (
+            ("Retry-After", str(max(1, round(config.retry_after_s)))),
+        )
         self.accepted_batches = 0
         self.accepted_reports = 0
         self.rejected_429 = 0
@@ -239,8 +238,6 @@ class TelemetryServer:
             self.pipeline = await self._loop.run_in_executor(
                 self._executor, self._pipeline_factory
             )
-            self._queue = asyncio.Queue(maxsize=self.config.max_pending)
-            self._consumer = self._loop.create_task(self._consume())
             self._server = await asyncio.start_server(
                 self._handle,
                 host=self.config.host,
@@ -248,11 +245,11 @@ class TelemetryServer:
                 limit=max(self.config.max_header_bytes * 2, 64 * 1024),
             )
         except BaseException:
+            # A pipeline built before the bind failed is closed too.
+            closed = self._executor.submit(self._close_pipeline)
             self._executor.shutdown(wait=True)
             self._executor = None
-            if self._consumer is not None:
-                self._consumer.cancel()
-                self._consumer = None
+            closed.result()
             raise
         return self
 
@@ -261,10 +258,11 @@ class TelemetryServer:
 
         Ordering is the clean-exit contract the serve tests pin: stop
         accepting (new requests get 503 while existing sockets flush),
-        wait for every accepted job to reach the pipeline, then close
-        the pipeline on its own thread — which drains process folds and
-        unlinks every shared-memory segment — and the state store with
-        it.  Idempotent.
+        then close the pipeline on its own thread — which drains process
+        folds and unlinks every shared-memory segment — and the state
+        store with it.  The close is the ingest thread's last job, and
+        its executor runs jobs in FIFO order, so every accepted job
+        reaches the pipeline first.  Idempotent.
         """
         if self._server is None or self._closing:
             self._closing = True
@@ -272,23 +270,13 @@ class TelemetryServer:
         self._closing = True
         self._server.close()
         await self._server.wait_closed()
-        if self._queue is not None:
-            await self._queue.join()
-        if self._consumer is not None:
-            self._consumer.cancel()
-            try:
-                await self._consumer
-            except asyncio.CancelledError:
-                pass
-            self._consumer = None
-        if self._executor is not None:
-            try:
-                await self._loop.run_in_executor(
-                    self._executor, self._close_pipeline
-                )
-            finally:
-                self._executor.shutdown(wait=True)
-                self._executor = None
+        try:
+            await self._loop.run_in_executor(
+                self._executor, self._close_pipeline
+            )
+        finally:
+            self._executor.shutdown(wait=True)
+            self._executor = None
 
     def _close_pipeline(self) -> None:
         pipeline, self.pipeline = self.pipeline, None
@@ -307,64 +295,66 @@ class TelemetryServer:
 
     # -- the ingest thread -------------------------------------------------
 
-    async def _consume(self) -> None:
-        """Apply queued jobs to the pipeline, strictly in queue order.
+    def _run(self, kind: str, values, seq: int):
+        """Apply one accepted job to the pipeline (ingest thread).
 
-        A job failure drops *that job* (counted, its waiter told) and —
-        when a ``recover_factory`` is wired — attempts to resume a
-        replacement pipeline before touching the next job, so everything
-        accepted behind the crash still applies in order.  Only when
-        recovery is unavailable or exhausted does the server latch
-        ``_failure`` and refuse further work.
+        A failure drops *that job* (counted, an epoch close's waiter
+        told) and — when a ``recover_factory`` is wired — resumes a
+        replacement pipeline before the executor starts the next job,
+        so everything accepted behind the crash still applies in order.
+        Only when recovery is unavailable or exhausted does the server
+        latch ``_failure`` and refuse further work.
         """
-        while True:
-            job: _Job = await self._queue.get()
-            try:
-                if self._failure is not None:
-                    raise RuntimeError(
-                        f"ingest already failed: {self._failure}"
-                    ) from self._failure
-                result = await self._loop.run_in_executor(
-                    self._executor, self._apply, job
-                )
-                if job.future is not None and not job.future.done():
-                    job.future.set_result(result)
-            except asyncio.CancelledError:
-                raise  # stop() cancelling us; the finally marks the job
-            except BaseException as failure:
-                if job.kind == "reports":
-                    self.failed_batches += 1
-                if job.future is not None and not job.future.done():
-                    job.future.set_exception(failure)
-                if self._failure is None and not await self._try_recover(
-                    failure
-                ):
-                    self._failure = failure
-            finally:
-                self._queue.task_done()
-
-    def _apply(self, job: _Job):
-        # Chaos seam: ``at=K`` schedules target one exact submit_seq.
-        fail_point("server.ingest", sequence=job.seq)
-        if job.kind == "reports":
-            self.pipeline.submit(job.values)
+        try:
+            if self._failure is not None:
+                raise RuntimeError(
+                    f"ingest already failed: {self._failure}"
+                ) from self._failure
+            # Chaos seam: ``at=K`` schedules target one exact submit_seq.
+            fail_point("server.ingest", sequence=seq)
+            if kind == "reports":
+                self.pipeline.submit(values)
+                return None
+            return self.pipeline.end_epoch()
+        except Exception as failure:
+            if kind == "reports":
+                self.failed_batches += 1
+            if self._failure is None and not self._try_recover():
+                self._failure = failure
+            if kind == "epoch":
+                raise
             return None
-        return self.pipeline.end_epoch()
+        finally:
+            self._applied += 1
 
-    async def _try_recover(self, failure: BaseException) -> bool:
-        """Bounded-backoff pipeline resume after an ingest crash.
+    def _try_recover(self) -> bool:
+        """Discard the broken pipeline and resume one from the store.
 
-        Runs on the event loop between jobs; the actual close/resume
-        work runs on the ingest thread.  Returns True when a replacement
-        pipeline is serving, False when the server must fail hard (no
-        factory, unsupported deployment, or attempts exhausted).
+        Runs on the ingest thread, between the failed job and the next,
+        with capped exponential backoff between attempts.  Closing the
+        broken pipeline (and its store) is best-effort: one that just
+        crashed may well fail to close too, and that must not block the
+        resume — but the failure is recorded, never silently dropped.
+        Returns True when a replacement pipeline is serving, False when
+        the server must fail hard (no factory, unsupported deployment,
+        or attempts exhausted).
         """
         if self._recover_factory is None or self.config.max_recoveries < 1:
             return False
         self._recovering = True
         try:
+            broken, self.pipeline = self.pipeline, None
+            for part, close in (
+                ("pipeline", broken.close), ("store", broken.store.close)
+            ):
+                try:
+                    close()
+                except Exception as close_failure:
+                    self.recovery_close_errors.append(
+                        f"broken {part} close failed: {close_failure!r}"
+                    )
             for attempt in range(self.config.max_recoveries):
-                await asyncio.sleep(
+                time.sleep(
                     min(
                         _RECOVERY_BACKOFF_CAP_S,
                         self.config.recovery_backoff_s * 2.0 ** attempt,
@@ -372,9 +362,7 @@ class TelemetryServer:
                 )
                 self.recovery_attempts += 1
                 try:
-                    self.pipeline = await self._loop.run_in_executor(
-                        self._executor, self._recover
-                    )
+                    self.pipeline = self._recover_factory()
                 except RecoveryUnsupportedError:
                     return False
                 except Exception as retry_failure:
@@ -389,36 +377,17 @@ class TelemetryServer:
         finally:
             self._recovering = False
 
-    def _recover(self):
-        """Discard the broken pipeline and resume from the durable store.
-
-        Runs on the ingest thread.  The broken pipeline's close (and its
-        store's) is best-effort: a pipeline that just crashed may well
-        fail to close too, and that must not block the resume — but the
-        failure is recorded, never silently dropped.
-        """
-        broken, self.pipeline = self.pipeline, None
-        if broken is not None:
-            try:
-                broken.close()
-            except Exception as close_failure:
-                self.recovery_close_errors.append(
-                    f"broken pipeline close failed: {close_failure!r}"
-                )
-            try:
-                broken.store.close()
-            except Exception as close_failure:
-                self.recovery_close_errors.append(
-                    f"broken store close failed: {close_failure!r}"
-                )
-        return self._recover_factory()
-
-    def _epoch_rows(self) -> List[Tuple[int, list]]:
-        """The store's epoch log as plain Python rows (ingest thread)."""
-        return [
-            (int(epoch), [float(x) for x in estimates])
-            for epoch, estimates in self.pipeline.store.epoch_log()
-        ]
+    def _estimates_page(self, request: Request) -> dict:
+        """One page of the store's epoch log, read between jobs."""
+        if self.pipeline is None:
+            raise self._unserved()
+        store = self.pipeline.store
+        envelope = paginate(
+            request, self.pipeline.config.d, store.epoch_count(),
+            store.epoch_log,
+        )
+        envelope["schema"] = SERVER_SCHEMA
+        return envelope
 
     # -- request handling --------------------------------------------------
 
@@ -487,17 +456,40 @@ class TelemetryServer:
             raise HttpError(
                 503, "server is shutting down", headers=(("Retry-After", "1"),)
             )
+        if request.method == "POST" and self._failure is not None:  # new work
+            raise HttpError(
+                503,
+                f"ingest pipeline failed and the server no longer accepts "
+                f"work: {self._failure}",
+            )
+        # Read once: recovery swaps the pipeline on the ingest thread.
+        pipeline = self.pipeline
+        if pipeline is None:
+            raise self._unserved()
         if request.path == "/api/config":
-            return self._config_payload(), 200, ()
+            return self._config_payload(pipeline.config), 200, ()
         if request.path == "/api/estimates":
-            return await self._estimates_payload(request), 200, ()
+            page = await self._loop.run_in_executor(
+                self._executor, self._estimates_page, request
+            )
+            return page, 200, ()
         if request.path == "/api/reports":
-            return self._accept_reports(request)
+            return self._accept_reports(request, pipeline.config.d)
         return await self._close_epoch()
+
+    def _unserved(self) -> HttpError:
+        """No pipeline is serving: recovery is resuming one, or failed."""
+        return HttpError(
+            503,
+            "no ingest pipeline is serving (recovering, or failed: see "
+            "/api/health)",
+            headers=self._retry_after,
+        )
 
     # -- handlers ----------------------------------------------------------
 
     def _health_payload(self) -> dict:
+        pipeline = self.pipeline
         if self._failure is not None:
             status = "failed"
         elif self._closing:
@@ -509,17 +501,17 @@ class TelemetryServer:
         payload = {
             "schema": SERVER_SCHEMA,
             "status": status,
-            "pending": self._queue.qsize() if self._queue else 0,
-            "epochs_completed": self.pipeline.epochs_completed
-            if self.pipeline is not None else 0,
+            "pending": self._submit_seq - self._applied,
+            "epochs_completed": pipeline.epochs_completed
+            if pipeline is not None else 0,
             "accepted_batches": self.accepted_batches,
             "accepted_reports": self.accepted_reports,
             "rejected_429": self.rejected_429,
             "failed_batches": self.failed_batches,
             "recoveries": self.recoveries,
             "recovery_attempts": self.recovery_attempts,
-            "exhausted": bool(self.pipeline.exhausted)
-            if self.pipeline is not None else False,
+            "exhausted": bool(pipeline.exhausted)
+            if pipeline is not None else False,
         }
         if self.recovery_close_errors:
             payload["recovery_errors"] = list(self.recovery_close_errors)
@@ -527,10 +519,10 @@ class TelemetryServer:
             payload["failure"] = str(self._failure)
         return payload
 
-    def _config_payload(self) -> dict:
+    def _config_payload(self, deployment) -> dict:
         return {
             "schema": SERVER_SCHEMA,
-            "deployment": config_to_dict(self.pipeline.config),
+            "deployment": config_to_dict(deployment),
             "server": {
                 "max_pending": self.config.max_pending,
                 "max_body_bytes": self.config.max_body_bytes,
@@ -538,29 +530,13 @@ class TelemetryServer:
             },
         }
 
-    async def _estimates_payload(self, request: Request) -> dict:
-        epoch_filter = parse_non_negative_int(request, "epoch", -1)
-        rows = await self._loop.run_in_executor(
-            self._executor, self._epoch_rows
-        )
-        items = [
-            {"epoch": epoch, "index": index, "estimate": estimate}
-            for epoch, estimates in rows
-            if epoch_filter < 0 or epoch == epoch_filter
-            for index, estimate in enumerate(estimates)
-        ]
-        envelope = paginate(items, request)
-        envelope["schema"] = SERVER_SCHEMA
-        return envelope
-
-    def _validated_values(self, request: Request) -> np.ndarray:
+    def _validated_values(self, request: Request, d: int) -> np.ndarray:
         payload = request.json()
         if "values" not in payload:
             raise HttpError(
                 400, "body must carry a 'values' array", field="values"
             )
         values = payload["values"]
-        d = self.pipeline.config.d
         if not isinstance(values, list) or not values:
             raise HttpError(
                 400,
@@ -584,60 +560,52 @@ class TelemetryServer:
             )
         return array.astype(np.int64)
 
-    def _refuse_if_failed(self) -> None:
-        if self._failure is not None:
-            raise HttpError(
-                503,
-                f"ingest pipeline failed and the server no longer accepts "
-                f"work: {self._failure}",
-            )
+    def _enqueue(self, kind: str, values) -> Future:
+        """Submit one job to the ingest thread at the next ``submit_seq``.
 
-    def _enqueue(self, kind: str, values, future) -> _Job:
-        """Queue one job at the next ``submit_seq``, in acceptance order.
-
-        A full queue is a 429 with ``Retry-After``; the refused job takes
-        no sequence number.
+        An accepted job is pending until the ingest thread finishes it,
+        and at most ``max_pending`` may wait behind the running one.
+        Past that, the job is a 429 with ``Retry-After`` and takes no
+        sequence number.
         """
-        job = _Job(
-            kind=kind, values=values, seq=self._submit_seq, future=future
-        )
-        try:
-            self._queue.put_nowait(job)
-        except asyncio.QueueFull:
+        if self._submit_seq - self._applied > self.config.max_pending:
             self.rejected_429 += 1
-            retry_after = max(1, round(self.config.retry_after_s))
             raise HttpError(
                 429,
                 f"ingest queue is full ({self.config.max_pending} pending "
                 f"batches); retry after Retry-After seconds",
-                headers=(("Retry-After", str(retry_after)),),
-            ) from None
+                headers=self._retry_after,
+            )
+        job = self._executor.submit(self._run, kind, values, self._submit_seq)
         self._submit_seq += 1
         return job
 
-    def _accept_reports(self, request: Request) -> Tuple[dict, int, tuple]:
-        self._refuse_if_failed()
-        values = self._validated_values(request)
-        job = self._enqueue("reports", values, None)
+    def _accept_reports(
+        self, request: Request, d: int
+    ) -> Tuple[dict, int, tuple]:
+        values = self._validated_values(request, d)
+        self._enqueue("reports", values)
         self.accepted_batches += 1
         self.accepted_reports += len(values)
         return (
             {
                 "schema": SERVER_SCHEMA,
                 "accepted": len(values),
-                "submit_seq": job.seq,
-                "pending": self._queue.qsize(),
+                "submit_seq": self._submit_seq - 1,
+                "pending": self._submit_seq - self._applied,
             },
             202,
             (),
         )
 
     async def _close_epoch(self) -> Tuple[dict, int, tuple]:
-        self._refuse_if_failed()
-        future = self._loop.create_future()
-        self._enqueue("epoch", None, future)
+        done = asyncio.wrap_future(
+            self._enqueue("epoch", None), loop=self._loop
+        )
         try:
-            report = await future
+            # Shielded: a cancelled waiter must not cancel an accepted
+            # close, which already holds its submit_seq.
+            report = await asyncio.shield(done)
         except Exception as failure:
             raise HttpError(500, f"epoch close failed: {failure}") from failure
         payload = {"schema": SERVER_SCHEMA}

@@ -7,7 +7,8 @@ Snippet 3::
      "page": {"total": 1234, "limit": 50, "offset": 0,
               "next_cursor": "3|17", "has_more": true}}
 
-Two pagination styles compose:
+Items are the epoch log's ``(epoch, index)`` rows, one per estimate;
+``epoch=`` keeps one epoch's.  Two pagination styles compose:
 
 * **offset** — ``limit`` (default 50, silently clamped to the 200
   maximum) and ``offset`` skip into the sorted item list; an offset past
@@ -22,12 +23,15 @@ Two pagination styles compose:
 ``sort`` takes comma-separated field names — ``field``/``field:asc``
 ascending, ``-field``/``field:desc`` descending — over the item fields
 ``epoch``, ``index``, ``estimate``.  Unknown fields are HTTP 400 naming
-``sort``, mirroring the exemplar.
+``sort``, mirroring the exemplar.  A default-order page reads only the
+``ceil(limit / d) + 1`` or fewer epochs it shows; a non-default ``sort``
+must see every selected row, the one O(epochs x d) read.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import itertools
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .http import HttpError, Request
 
@@ -147,7 +151,7 @@ def parse_cursor(request: Request) -> Optional[Tuple[int, int]]:
 
 
 def _sorted_items(
-    items: Sequence[Dict], order: Tuple[Tuple[str, bool], ...]
+    items: Iterable[Dict], order: Tuple[Tuple[str, bool], ...]
 ) -> List[Dict]:
     """Apply a multi-field mixed-direction order via stable re-sorts."""
     result = list(items)
@@ -156,15 +160,22 @@ def _sorted_items(
     return result
 
 
-def paginate(items: Sequence[Dict], request: Request) -> dict:
-    """Build the Snippet-3 envelope for one page of ``items``.
+def paginate(
+    request: Request,
+    width: int,
+    epochs: int,
+    read: Callable[[int, int], list],
+) -> dict:
+    """Build the Snippet-3 envelope for one page of an epoch log.
 
-    ``items`` is the full (unsorted) row list; the request's ``limit``,
-    ``offset``, ``cursor``, and ``sort`` parameters select the page.
-    With a cursor, ``offset`` skips *additional* rows past the cursor
-    position, and the reported ``page.offset`` is the absolute start
-    position in the sorted list.
+    The log holds epochs ``0 .. epochs - 1`` of ``width`` estimates
+    each, and ``read(first, count)`` returns the ``(epoch, estimates)``
+    rows of epochs ``first .. first + count - 1``.  With a cursor,
+    ``offset`` skips *additional* rows past the cursor position, and
+    the reported ``page.offset`` is the absolute start position in the
+    sorted list.
     """
+    epoch = parse_non_negative_int(request, "epoch", -1)
     limit = parse_limit(request)
     offset = parse_non_negative_int(request, "offset", 0)
     order = parse_sort(request)
@@ -176,27 +187,46 @@ def paginate(items: Sequence[Dict], request: Request) -> dict:
             "ascending order; drop the sort parameter to use a cursor",
             field="cursor",
         )
-    ordered = _sorted_items(items, order)
+    # The selected epochs are [low, high): all of them, or the one
+    # ``epoch=`` names (none past the end).  Positions are clamped to
+    # them before any read, so a huge query value never reaches a store.
+    if epoch < 0:
+        low, high = 0, epochs
+    else:
+        low, high = min(epoch, epochs), min(epoch + 1, epochs)
+    total = (high - low) * width
     start = offset
     if cursor is not None:
         # Keyset: resume strictly after (epoch, index) — a cursor past
         # the last epoch lands on the empty tail, which is a valid
         # (empty) page rather than an error.
-        position = 0
-        while position < len(ordered) and (
-            ordered[position]["epoch"], ordered[position]["index"]
-        ) <= cursor:
-            position += 1
-        start = position + offset
-    page = ordered[start:start + limit]
-    has_more = start + limit < len(ordered)
+        cursor_epoch, cursor_index = cursor
+        start += (min(max(cursor_epoch, low), high) - low) * width
+        if low <= cursor_epoch < high:
+            start += min(cursor_index + 1, width)
+    begin, end = min(start, total), min(start + limit, total)
+    if order == DEFAULT_SORT:
+        first, stop = low + begin // width, low + (end + width - 1) // width
+    else:
+        first, stop = low, high
+    rows = read(first, stop - first) if stop > first else []
+    items = (
+        {"epoch": int(row_epoch), "index": index, "estimate": float(value)}
+        for row_epoch, estimates in rows
+        for index, value in enumerate(estimates)
+    )
+    if order != DEFAULT_SORT:
+        items = _sorted_items(items, order)
+    skip = begin - (first - low) * width
+    page = list(itertools.islice(items, skip, skip + limit))
+    has_more = start + limit < total
     next_cursor = None
     if has_more and page and order == DEFAULT_SORT:
         next_cursor = f"{page[-1]['epoch']}|{page[-1]['index']}"
     return {
         "items": page,
         "page": {
-            "total": len(ordered),
+            "total": total,
             "limit": limit,
             "offset": start,
             "next_cursor": next_cursor,

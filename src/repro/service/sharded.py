@@ -440,9 +440,10 @@ class ShardedPipeline:
         #: each released flush's decoded reports, when ``keep_reports``
         self.released_batches: List[np.ndarray] = []
         #: [start, stop) index ranges into the submitted-report order that
-        #: were actually released (rejected flushes leave gaps)
+        #: were actually released; adjacent ranges merge, so the list
+        #: grows only with the gaps rejected flushes leave
         self.released_spans: List[tuple] = []
-        self._consumed = 0
+        self._carved = 0
         self._n_submits = 0
         self._epoch_flushes = 0
         self._epoch_rejected = 0
@@ -654,8 +655,8 @@ class ShardedPipeline:
         """Price one batch against the ledger; never releases."""
         plan = self.config.plan
         self._epoch_flushes += 1
-        span = (self._consumed, self._consumed + batch.n_reports)
-        self._consumed = span[1]
+        span = (self._carved, self._carved + batch.n_reports)
+        self._carved = span[1]
         # Price the batch at its own size: an epoch-end remainder carries
         # less genuine blanket than a full flush, so it costs more.
         price = flush_release_epsilon(
@@ -687,7 +688,7 @@ class ShardedPipeline:
             )
         self._epoch_reports_released += batch.n_reports
         self._epoch_fakes += batch.n_fake
-        self.released_spans.append(span)
+        self._note_released(span)
         return FlushRecord(
             **verdict,
             charge_eps=charge.eps,
@@ -695,6 +696,14 @@ class ShardedPipeline:
             charge_label=charge.label,
             reject_reason=None,
         )
+
+    def _note_released(self, span: tuple) -> None:
+        """Extend ``released_spans`` by one released flush's range."""
+        spans = self.released_spans
+        if spans and spans[-1][1] == span[0]:
+            spans[-1] = (spans[-1][0], span[1])
+        else:
+            spans.append(span)
 
     def _record_rejection(self, flush, reason: str) -> None:
         """Count one refused flush; keep the first few in detail."""
@@ -986,7 +995,7 @@ class ShardedPipeline:
             if flush.status == "rejected":
                 self._record_rejection(flush, flush.reject_reason or "rejected")
                 continue
-            self.released_spans.append(span)
+            self._note_released(span)
             if flush.status == "released":
                 # Never re-release: fold the committed counts as-is.
                 self.shards[flush.sequence % self.n_shards].fold_counts(
@@ -994,7 +1003,7 @@ class ShardedPipeline:
                 )
             else:
                 self._replay_release(flush)
-        self._consumed = offset
+        self._carved = offset
         if len(self.epoch_reports) < self.buffer.epoch:
             self._synthesize_epoch(snapshot)
         # Partial counters of the epoch that was open at the crash; its
@@ -1135,9 +1144,9 @@ class ShardedPipeline:
         holds raw values server-side.
         """
         submitted_values = np.asarray(submitted_values)
-        if len(submitted_values) < self._consumed:
+        if len(submitted_values) < self._carved:
             raise ValueError(
-                f"expected at least {self._consumed} submitted values, "
+                f"expected at least {self._carved} submitted values, "
                 f"got {len(submitted_values)}"
             )
         if not self.released_spans:

@@ -16,6 +16,7 @@ from repro.persistence import (
     StateStoreError,
 )
 from repro.service import StreamConfig
+from repro.service.pipeline import EpochReport
 
 
 @pytest.fixture
@@ -145,6 +146,36 @@ class TestStoreContract:
             snapshot.remainder, np.array([3, 1, 2], dtype=np.int64)
         )
         assert snapshot.rng_state == _checkpoint().rng_state
+
+    def test_epoch_log_reads_a_window(self, store, config):
+        assert store.epoch_count() == 0
+        assert store.epoch_log() == []
+        _begin(store, config)
+        estimates = [np.full(config.d, float(epoch)) for epoch in range(3)]
+        for epoch, vector in enumerate(estimates):
+            report = EpochReport(
+                epoch=epoch, n_flushes=1, n_rejected=0, n_reports=3,
+                n_fake=2, flush_latency_s=0.0, reports_per_sec=0.0,
+                eps_spent=0.5, delta_spent=1e-9,
+            )
+            store.record_epoch(
+                report, vector, _checkpoint(buffer_epoch=epoch + 1)
+            )
+        assert store.epoch_count() == 3
+
+        def window(*args):
+            return [
+                (epoch, vector.tolist())
+                for epoch, vector in store.epoch_log(*args)
+            ]
+
+        everything = [(e, v.tolist()) for e, v in enumerate(estimates)]
+        assert window() == everything
+        assert window(1) == everything[1:]
+        assert window(1, 1) == everything[1:2]
+        assert window(0, 2) == everything[:2]
+        assert window(2, 5) == everything[2:]
+        assert window(3, 1) == []
 
 
 class TestSqliteSpecifics:

@@ -45,6 +45,60 @@ def _query_test(test_body, epochs: int = 0):
     asyncio.run(run())
 
 
+def test_default_order_page_reads_only_its_epochs():
+    """At any epoch count, a page reads at most ceil(limit / d) + 1
+    epoch rows from the store."""
+    epochs, limit = 30, 5
+    reads = []
+
+    async def run():
+        async with _serve(admitted_epochs=epochs) as server:
+            store = server.pipeline.store
+            epoch_log = store.epoch_log
+
+            def spy(*args, **kwargs):
+                rows = epoch_log(*args, **kwargs)
+                reads.append(len(rows))
+                return rows
+
+            store.epoch_log = spy
+            async with ServerClient("127.0.0.1", server.port) as client:
+                for value in range(epochs):
+                    await client.submit([value % D])
+                    await client.close_epoch()
+                walked = await fetch_all_estimates(client, limit=limit)
+                assert len(walked) == epochs * D
+                assert reads and max(reads) <= -(-limit // D) + 1
+                reads.clear()
+                page = await client.estimates(epoch=epochs - 1)
+                assert len(page["items"]) == D
+                assert reads == [1]
+
+    asyncio.run(run())
+
+
+def test_huge_positions_are_empty_or_clamped_pages():
+    async def body(client):
+        huge = 10 ** 30
+        page = await client.estimates(offset=huge)
+        assert page["items"] == []
+        assert page["page"] == {
+            "total": 2 * D, "limit": 50, "offset": huge,
+            "next_cursor": None, "has_more": False,
+        }
+        page = await client.estimates(cursor=f"{huge}|0")
+        assert page["items"] == []
+        assert page["page"]["offset"] == 2 * D
+        page = await client.estimates(cursor=f"0|{huge}")
+        assert [item["epoch"] for item in page["items"]] == [1] * D
+        assert page["page"]["offset"] == D
+        page = await client.estimates(epoch=huge)
+        assert page["items"] == []
+        assert page["page"]["total"] == 0
+
+    _query_test(body, epochs=2)
+
+
 def test_empty_state_store_is_an_empty_page():
     async def body(client):
         page = await client.estimates()

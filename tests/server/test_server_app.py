@@ -3,7 +3,10 @@ backpressure, failure containment, and the HTTP ≡ in-process identity."""
 
 import asyncio
 import json
+import socket
+import sys
 import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -296,6 +299,59 @@ def test_backpressure_never_drops_an_accepted_report():
     asyncio.run(run())
 
 
+def test_pending_count_settles_under_concurrent_uploads():
+    """The loop counts accepted jobs and the ingest thread finished ones:
+    with four connections racing a small bound, every 202 reaches the
+    pipeline, no 202 reports more than ``max_pending + 1`` pending, and
+    the count returns to 0."""
+
+    class SlowStub(StubPipeline):
+        def submit(self, values):
+            time.sleep(0.001)  # slower than uploads arrive: 429s happen
+            super().submit(values)
+
+    stub = SlowStub()
+    interval = sys.getswitchinterval()
+
+    async def upload(port, value):
+        accepted = 0
+        async with ServerClient("127.0.0.1", port) as client:
+            for __ in range(50):
+                response = await client.submit([value])
+                if response.status == 202:
+                    accepted += 1
+                    assert response.body["pending"] <= 3
+                else:
+                    assert response.status == 429
+        return accepted
+
+    async def run():
+        server = TelemetryServer(
+            lambda: stub, ServerConfig(port=0, max_pending=2)
+        )
+        async with server:
+            counts = await asyncio.wait_for(
+                asyncio.gather(*(upload(server.port, v) for v in range(4))),
+                timeout=60,
+            )
+            async with ServerClient("127.0.0.1", server.port) as client:
+                for __ in range(500):
+                    health = await client.health()
+                    if health["pending"] == 0:
+                        break
+                    await asyncio.sleep(0.01)
+        assert health["pending"] == 0
+        assert health["accepted_batches"] == sum(counts)
+        assert health["rejected_429"] == 4 * 50 - sum(counts)
+        assert len(stub.received) == sum(counts)
+
+    sys.setswitchinterval(1e-6)
+    try:
+        asyncio.run(run())
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_pipeline_failure_is_contained():
     stub = StubPipeline(fail=True)
 
@@ -416,8 +472,55 @@ def test_ingest_crash_without_durable_store_stays_failed():
                 assert health["recoveries"] == 0
                 assert health["recovery_attempts"] >= 1
                 assert (await client.submit([1])).status == 503
+                # no pipeline is serving: the reads are 503s too, not 500s
+                for path in ("/api/config", "/api/estimates"):
+                    response = await client.request("GET", path)
+                    assert response.status == 503, path
+                    assert response.retry_after() == 1.0
 
     asyncio.run(run())
+
+
+def test_cancelled_epoch_close_still_runs():
+    """An accepted close holds a submit_seq, so it must reach the
+    pipeline even when the request waiting on it is cancelled."""
+    gate = threading.Event()
+    stub = StubPipeline(gate=gate)
+
+    async def run():
+        server = TelemetryServer(lambda: stub, ServerConfig(port=0))
+        async with server:
+            async with ServerClient("127.0.0.1", server.port) as client:
+                # this upload blocks the ingest thread until the gate opens
+                assert (await client.submit([1])).body["submit_seq"] == 0
+                close = asyncio.create_task(server._close_epoch())
+                await asyncio.sleep(0)  # the close is accepted as seq 1
+                close.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await close
+                gate.set()
+                response = await client.submit([2])
+                assert response.body["submit_seq"] == 2
+        assert stub.epochs_completed == 1
+
+    asyncio.run(run())
+
+
+def test_failed_bind_closes_the_pipeline():
+    stub = StubPipeline()
+
+    async def run():
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            server = TelemetryServer(
+                lambda: stub, ServerConfig(port=taken.getsockname()[1])
+            )
+            with pytest.raises(OSError):
+                await server.start()
+
+    asyncio.run(run())
+    assert stub.closed
 
 
 def test_http_ingest_matches_in_process_replay():

@@ -120,6 +120,17 @@ class TestBudgetEnforcement:
         # First flush of 50 released, second rejected: one span, one gap.
         assert pipeline.released_spans == [(0, 50)]
 
+    def test_released_spans_merge_adjacent_flushes(self, rng):
+        pipeline = TelemetryPipeline(small_config(admitted_flushes=6), rng)
+        for __ in range(3):
+            pipeline.submit(rng.integers(0, 8, 100))
+            pipeline.end_epoch()
+        # Six released flushes and no refusal leave no gap: one span.
+        assert pipeline.n_rejected == 0
+        assert pipeline.released_spans == [(0, 300)]
+        resumed = TelemetryPipeline.resume(pipeline.store)
+        assert resumed.released_spans == [(0, 300)]
+
     def test_released_values_selects_around_gaps(self, rng):
         pipeline = TelemetryPipeline(small_config(admitted_flushes=1), rng)
         values = rng.integers(0, 8, 100)
