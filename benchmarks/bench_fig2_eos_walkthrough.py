@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.crypto import paillier
+from repro.crypto import dgk
 from repro.crypto.secret_sharing import share_vector
 from repro.shuffle import encrypted_oblivious_shuffle, server_reconstruct
+from repro.shuffle.eos import plaintext_bits
 
 from bench_common import bench_rng, emit, run_once
 
@@ -22,7 +23,9 @@ M = 1 << 16
 
 def _experiment() -> str:
     rng = bench_rng()
-    pub, priv = paillier.generate_keypair(key_bits=512, rng=2020)
+    pub, priv = dgk.generate_keypair(
+        l=plaintext_bits(M, 3), key_bits=512, rng=2020
+    )
     a, b, c = 0x0A, 0x0B, 0x0C
     values = np.array([a, b, c], dtype=np.int64)
     shares = share_vector(values, 3, M, rng)

@@ -2,7 +2,7 @@
 """Scenario: a full PEOS run with real cryptography, plus the attacks it stops.
 
 This drives Algorithm 1 end to end at a demo scale (400 users, 3
-shufflers, real Paillier / secret sharing / encrypted oblivious shuffle):
+shufflers, real DGK / secret sharing / encrypted oblivious shuffle):
 
 1. honest execution with per-party cost accounting (the Table III shape);
 2. a data-poisoning attempt — two of three shufflers submit maximally
@@ -15,7 +15,7 @@ The GRR local budget is validated through the facade's ``PrivacyBudget``
 (``model="local"``: under ``Adv_a`` only local randomization protects
 users, exactly that model's semantics).
 
-Run:  python examples/secure_deployment.py   (takes ~1 minute: real crypto)
+Run:  python examples/secure_deployment.py   (takes ~15 s: real crypto)
       REPRO_EXAMPLE_SCALE=0.05 python examples/secure_deployment.py
 """
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.api import PrivacyBudget
 from repro.costs import CostTracker
-from repro.crypto import paillier
+from repro.crypto import dgk
 from repro.frequency_oracles import GRR
 from repro.protocol import run_peos
 from repro.protocol.attacks import (
@@ -33,6 +33,7 @@ from repro.protocol.attacks import (
     spot_check_detection_probability,
 )
 from repro.shuffle import generate_keys, sequential_shuffle
+from repro.shuffle.eos import plaintext_bits
 
 SCALE = float(os.environ.get("REPRO_EXAMPLE_SCALE", "1.0"))
 N_USERS = max(60, int(400 * SCALE))
@@ -40,18 +41,19 @@ N_FAKE = max(20, int(100 * SCALE))
 N_POISON_FAKE = max(200, int(800 * SCALE))
 DOMAIN = 8
 R = 3
-# Real Paillier dominates the runtime; the CI smoke run shrinks the demo
-# key (still far above the generate_keypair floor, still real crypto).
+# The CI smoke run shrinks the demo key (still above dgk.min_key_bits for
+# GRR's l = 3, still real crypto).
 KEY_BITS = 768 if SCALE >= 1.0 else 384
 LOCAL_BUDGET = PrivacyBudget(eps=3.0, model="local")
 
 
 def main() -> None:
     rng = np.random.default_rng(21)
-    print(f"generating server AHE keypair (Paillier, {KEY_BITS}-bit demo key)...")
-    pub, priv = paillier.generate_keypair(key_bits=KEY_BITS, rng=5)
-
     fo = GRR(DOMAIN, LOCAL_BUDGET.eps)
+    print(f"generating server AHE keypair (DGK, {KEY_BITS}-bit demo key)...")
+    pub, priv = dgk.generate_keypair(
+        l=plaintext_bits(fo.report_space, R), key_bits=KEY_BITS, rng=5
+    )
     values = rng.choice(DOMAIN, size=N_USERS, p=np.linspace(2, 0.2, DOMAIN) / np.linspace(2, 0.2, DOMAIN).sum())
     truth = np.bincount(values, minlength=DOMAIN) / N_USERS
 

@@ -10,7 +10,8 @@ Pohlig-Hellman algorithm [49]; this module implements that construction:
   primes ``v_p, v_q``;
 * generator ``g`` of order ``2^l v_p v_q`` and blinder ``h`` of order
   ``v_p v_q`` modulo ``N``;
-* ``Enc(m; r) = g^m h^r mod N``;
+* ``Enc(m; r) = g^m h^r mod N``, with both powers read from fixed-base
+  window tables built once per key (:class:`FixedBaseTable`);
 * decryption raises to the ``v_p``-th power mod ``p`` (annihilating the
   blinder) and solves the discrete log in the order-``2^l`` subgroup with
   Pohlig-Hellman, one plaintext bit per iteration.
@@ -21,7 +22,7 @@ group.  Key sizes are configurable; tests use small parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .math_utils import (
     RandomLike,
@@ -33,9 +34,63 @@ from .math_utils import (
 )
 
 
+#: Window width, in bits, of every fixed-base table.  Wider windows
+#: trade a table that grows as ``2^w / w`` for fewer multiplications per
+#: power (``bits / w``); DESIGN.md ("PEOS's AHE") records the sweep.
+WINDOW_BITS = 6
+
+
+class FixedBaseTable:
+    """Exact powers ``base^e mod n`` of one fixed base, for ``0 <= e < 2^bits``.
+
+    Row ``i`` holds ``base^(j * 2^(w i))`` for ``j < 2^w`` (``w`` =
+    :data:`WINDOW_BITS`), so a power is one modular multiplication per
+    nonzero ``w``-bit window of the exponent and no squarings.  An
+    exponent wider than the table falls back to :func:`pow`.  The table
+    only precomputes public powers, so it adds no hardness assumption.
+    """
+
+    __slots__ = ("base", "n", "bits", "rows")
+
+    def __init__(self, base: int, n: int, bits: int):
+        self.base = base
+        self.n = n
+        self.bits = bits
+        rows = []
+        step = base % n  # base^(2^(w i)) for the row being built
+        for __ in range(-(-bits // WINDOW_BITS)):
+            row = [1]
+            for __ in range((1 << WINDOW_BITS) - 1):
+                row.append(row[-1] * step % n)
+            rows.append(row)
+            step = row[-1] * step % n
+        self.rows = rows
+
+    def pow(self, exponent: int) -> int:
+        """``base^exponent mod n``."""
+        if exponent >> self.bits:
+            return pow(self.base, exponent, self.n)
+        n = self.n
+        mask = (1 << WINDOW_BITS) - 1
+        result = 1
+        for row in self.rows:
+            if not exponent:
+                break
+            digit = exponent & mask
+            if digit:
+                result = result * row[digit] % n
+            exponent >>= WINDOW_BITS
+        return result
+
+
 @dataclass(frozen=True)
 class DGKPublicKey:
-    """Public key ``(N, g, h, l)``; plaintext space is ``Z_{2^l}``."""
+    """Public key ``(N, g, h, l)``; plaintext space is ``Z_{2^l}``.
+
+    Construction builds the fixed-base tables for ``g`` (``l``-bit
+    exponents) and ``h`` (``blind_bits``-bit exponents), so their cost
+    falls on key set-up and not on the first encryption.
+    """
 
     n: int
     g: int
@@ -43,6 +98,16 @@ class DGKPublicKey:
     l: int
     #: bit-length of blinding exponents (2.5x the subgroup size in DGK)
     blind_bits: int = 400
+    _g_powers: FixedBaseTable = field(init=False, repr=False, compare=False)
+    _h_powers: FixedBaseTable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_g_powers", FixedBaseTable(self.g, self.n, self.l)
+        )
+        object.__setattr__(
+            self, "_h_powers", FixedBaseTable(self.h, self.n, self.blind_bits)
+        )
 
     @property
     def plaintext_space(self) -> int:
@@ -52,7 +117,7 @@ class DGKPublicKey:
         """``Enc(m; r) = g^m h^r mod N`` with a fresh blinding exponent."""
         message %= self.plaintext_space
         r = as_random(rng).getrandbits(self.blind_bits)
-        return pow(self.g, message, self.n) * pow(self.h, r, self.n) % self.n
+        return self._g_powers.pow(message) * self._h_powers.pow(r) % self.n
 
     def add(self, ciphertext_a: int, ciphertext_b: int) -> int:
         """Homomorphic addition modulo ``2^l``."""
@@ -60,7 +125,7 @@ class DGKPublicKey:
 
     def add_plain(self, ciphertext: int, plain: int) -> int:
         """Add a plaintext constant."""
-        return ciphertext * pow(self.g, plain % self.plaintext_space, self.n) % self.n
+        return ciphertext * self._g_powers.pow(plain % self.plaintext_space) % self.n
 
     def multiply_plain(self, ciphertext: int, scalar: int) -> int:
         """Multiply the plaintext by a constant."""
@@ -69,7 +134,7 @@ class DGKPublicKey:
     def rerandomize(self, ciphertext: int, rng: RandomLike = None) -> int:
         """Refresh the blinding without changing the plaintext."""
         r = as_random(rng).getrandbits(self.blind_bits)
-        return ciphertext * pow(self.h, r, self.n) % self.n
+        return ciphertext * self._h_powers.pow(r) % self.n
 
     @property
     def ciphertext_bytes(self) -> int:
@@ -132,6 +197,22 @@ def _element_of_order(
             continue
         if all(pow(candidate, order // f, p) != 1 for f in prime_factors):
             return candidate
+
+
+#: Fewest bits the random cofactor ``c`` of ``p = 2^l v_p c + 1`` gets.
+#: :func:`random_prime_with_factor` draws ``c`` at random, and a short
+#: cofactor leaves few candidates of the right length: with l = 3 and
+#: t = 160, keys with 2, 6, 12 and 14 cofactor bits generated for 0 of 5,
+#: 0 of 8, 7 of 8 and 60 of 60 seeds (each failure a RuntimeError
+#: after up to seconds of search).
+MIN_COFACTOR_BITS = 16
+
+
+def min_key_bits(l: int, subgroup_bits: int = 160) -> int:
+    """Smallest ``key_bits`` for which :func:`generate_keypair` reliably
+    finds a key: each prime takes half the modulus, which must hold the
+    ``l + t`` bits of ``2^l v_p`` and :data:`MIN_COFACTOR_BITS` more."""
+    return 2 * (l + subgroup_bits + MIN_COFACTOR_BITS)
 
 
 def generate_keypair(

@@ -19,9 +19,11 @@ shuffler, a single honest shuffler makes all fake reports uniform — the
 data-poisoning resistance PEOS is designed for (validated statistically in
 ``tests/protocol/test_attacks.py``).
 
-Performance note: the protocol is exact at any scale, but pure-Python AHE
-makes per-report costs milliseconds; benchmarks run reduced ``n`` and
-extrapolate (see DESIGN.md and Table III bench).  For protocol runs prefer
+Performance note: the protocol is exact at any scale, but its AHE is pure
+Python.  With the paper's DGK and fixed-base tables (DESIGN.md, "PEOS's
+AHE"), r = 3 and 512-bit keys, a report costs about a millisecond,
+genuine or fake; benchmarks run reduced ``n`` and extrapolate (see
+DESIGN.md and Table III bench).  For protocol runs prefer
 the 32-bit-seed hash family (:class:`repro.hashing.XXHash32Family`) so the
 report group fits in 64-bit arithmetic.
 """

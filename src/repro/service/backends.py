@@ -14,8 +14,9 @@ trade security for throughput:
   reports undetected.
 * ``"peos"`` — full PEOS (:func:`repro.protocol.peos.peos_shuffle_encoded`):
   secret-shared reports, EOS, AHE — fake reports are uniform as long as one
-  shuffler is honest.  Milliseconds per report in pure Python; use small
-  flushes.
+  shuffler is honest.  About a millisecond per report, fake ones
+  included, with r = 3 and the default 512-bit DGK key in pure Python;
+  use small flushes.
 
 Backends are constructed unprepared and lazily generate key material on
 :meth:`ShuffleBackend.prepare`, so a pipeline can be configured before any
@@ -29,6 +30,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..core.errors import ConfigError
 from ..crypto.math_utils import RandomLike, as_random
 from ..frequency_oracles.base import FrequencyOracle
 
@@ -113,7 +115,14 @@ class SequentialShuffleBackend(ShuffleBackend):
 
 
 class PeosShuffleBackend(ShuffleBackend):
-    """Full PEOS: secret shares, EOS, AHE reconstruction."""
+    """Full PEOS: secret shares, EOS, AHE reconstruction.
+
+    The server's AHE is the paper's DGK (Section VI-A3).  :meth:`prepare`
+    generates a ``key_bits`` key whose plaintext space ``Z_{2^l}`` carries
+    the oracle's report space through EOS (``l`` from
+    :func:`repro.shuffle.eos.plaintext_bits`), and builds its fixed-base
+    tables there, so every cost of a key falls on set-up.
+    """
 
     name = "peos"
 
@@ -136,14 +145,37 @@ class PeosShuffleBackend(ShuffleBackend):
         self._decrypt = None
 
     def prepare(self, fo: FrequencyOracle, rng: np.random.Generator) -> None:
-        from ..crypto import paillier
+        """Generate the key, or check that the one held covers ``fo``.
 
+        A key is tied to one report space, so a reused (or injected) key
+        is checked here, at pipeline construction, and not inside EOS
+        after a flush has been charged.
+        """
+        from ..crypto import dgk
+        from ..shuffle.eos import ahe_covers, plaintext_bits
+
+        modulus = fo.report_space
         if self._public is None:
-            public, private = paillier.generate_keypair(
-                key_bits=self.key_bits, rng=self.crypto_rng
+            l = plaintext_bits(modulus, self.r)
+            minimum = dgk.min_key_bits(l)
+            if self.key_bits < minimum:
+                raise ConfigError(
+                    "key_bits",
+                    f"a PEOS key for report space {modulus} (DGK l = {l}) "
+                    f"needs at least {minimum} bits, got {self.key_bits}",
+                )
+            public, private = dgk.generate_keypair(
+                l=l, key_bits=self.key_bits, rng=self.crypto_rng
             )
             self._public = public
             self._decrypt = private.decrypt
+        elif not ahe_covers(self._public.plaintext_space, modulus, self.r):
+            raise ConfigError(
+                "backend",
+                f"this PEOS backend's key (plaintext space "
+                f"{self._public.plaintext_space}) cannot carry report space "
+                f"{modulus} with r = {self.r}; use a fresh backend",
+            )
 
     def shuffle(
         self,

@@ -16,10 +16,11 @@ colluding cannot reconstruct the reports (Corollary 7) — that requires the
 server's private key, and the server never sees intermediate rounds.
 
 AHE plaintext-space bookkeeping: corrections are added as their positive
-residues mod ``M``, so decrypted plaintexts grow additively but never wrap
-the AHE plaintext space (asserted at entry: ``rounds * (r + t) * M`` must
-fit).  The DGK scheme with ``2^l = M`` wraps natively and also satisfies
-the check trivially via modular arithmetic.
+residues mod ``M``.  Decryption is exact when the plaintext space is a
+multiple of ``M`` (sums wrap natively: DGK with ``2^l = M``) or when the
+plaintexts, which then grow additively, stay below the headroom bound
+``(rounds * (t + r) + 2) * M``.  :func:`ahe_covers` is that rule, checked
+at entry; :func:`plaintext_bits` picks the smallest DGK ``l`` it accepts.
 """
 
 from __future__ import annotations
@@ -51,6 +52,31 @@ class AdditiveHomomorphicKey(Protocol):
     def add_plain(self, ciphertext: int, plain: int) -> int: ...
 
     def rerandomize(self, ciphertext: int, rng: RandomLike = None) -> int: ...
+
+
+def _headroom(modulus: int, r: int) -> int:
+    """Bound on every plaintext EOS builds when nothing wraps: each round
+    adds fewer than ``t + r`` corrections, each below ``modulus``."""
+    return (len(shuffle_rounds(r)) * (hider_count(r) + r) + 2) * modulus
+
+
+def ahe_covers(plaintext_space: int, modulus: int, r: int) -> bool:
+    """Whether EOS over ``Z_modulus`` with ``r`` shufflers decrypts exactly
+    in an AHE plaintext space of this size."""
+    return plaintext_space % modulus == 0 or plaintext_space >= _headroom(
+        modulus, r
+    )
+
+
+def plaintext_bits(modulus: int, r: int) -> int:
+    """Smallest ``l`` whose ``Z_{2^l}`` :func:`ahe_covers` ``Z_modulus``.
+
+    That is ``log2 M`` when ``M`` is a power of two (sums wrap natively),
+    otherwise the bit length of the headroom bound.
+    """
+    if modulus & (modulus - 1) == 0:
+        return modulus.bit_length() - 1
+    return _headroom(modulus, r).bit_length()
 
 
 @dataclass
@@ -99,7 +125,8 @@ def encrypted_oblivious_shuffle(
     rng / crypto_rng:
         Share-randomness + permutations / AHE encryption randomness.
     rerandomize:
-        Refresh each ciphertext's AHE randomness at every hop (default).
+        Refresh each ciphertext's AHE randomness once per hop, just
+        before the holder sends it (default).
         The paper's cost model (Table III: "C(r,t) n/r homomorphic
         additions" per shuffler) counts only the deterministic
         ``g^adjust`` corrections — the secret uniform adjustment already
@@ -118,10 +145,7 @@ def encrypted_oblivious_shuffle(
             raise ValueError("share vectors have inconsistent lengths")
     t = hider_count(r)
     rounds = shuffle_rounds(r)
-    # Plaintext-space headroom: every round adds < (t + r) corrections of
-    # size < modulus to the encrypted plaintexts.
-    headroom_needed = (len(rounds) * (t + r) + 2) * modulus
-    if ahe.plaintext_space % modulus != 0 and ahe.plaintext_space < headroom_needed:
+    if not ahe_covers(ahe.plaintext_space, modulus, r):
         raise ValueError(
             f"AHE plaintext space {ahe.plaintext_space} too small for "
             f"modulus {modulus} over {len(rounds)} rounds"
@@ -206,14 +230,13 @@ def encrypted_oblivious_shuffle(
                 for part in incoming[h]:
                     accumulated = add_share_vectors(accumulated, part, modulus)
                 if h == holder:
+                    # No blinding here: these ciphertexts stay with this
+                    # holder until its reshare below, whose split
+                    # re-randomizes every one of them before it is sent.
                     cipher = [
                         ahe.add_plain(c, int(accumulated[i]) % modulus)
                         for i, c in enumerate(cipher)
                     ]
-                    if rerandomize:
-                        cipher = [
-                            ahe.rerandomize(c, crypto_rand) for c in cipher
-                        ]
                     vectors[h] = _zeros(n, modulus)
                     cipher = [cipher[i] for i in permutation]
                 else:

@@ -1,6 +1,10 @@
 """DGK-style AHE: Z_{2^l} plaintext wraparound and Pohlig-Hellman decryption."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto import dgk
 
@@ -8,6 +12,12 @@ from repro.crypto import dgk
 @pytest.fixture(scope="module")
 def keys16():
     return dgk.generate_keypair(l=16, key_bits=512, subgroup_bits=80, rng=41)
+
+
+@pytest.fixture(scope="module")
+def keys3():
+    """The key shape the PEOS backend builds for GRR d = 8 (l = 3, t = 160)."""
+    return dgk.generate_keypair(l=3, key_bits=512, rng=43)
 
 
 class TestRoundtrip:
@@ -95,3 +105,51 @@ class TestParameters:
     def test_rejects_bad_l(self):
         with pytest.raises(ValueError):
             dgk.generate_keypair(l=0, key_bits=512, subgroup_bits=80, rng=1)
+
+
+class TestFixedBaseTables:
+    """The window tables are exact: they only precompute ``pow``."""
+
+    @pytest.mark.parametrize("bits", [1, 3, 32, 400])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_table_power_equals_pow(self, keys3, bits, data):
+        pub, __ = keys3
+        table = dgk.FixedBaseTable(pub.h, pub.n, bits)
+        exponent = data.draw(
+            st.one_of(
+                st.sampled_from([0, 1, (1 << bits) - 1, 1 << bits]),
+                st.integers(0, (1 << bits) - 1),
+                st.integers(1 << bits, 1 << (2 * bits + 8)),
+            )
+        )
+        assert table.pow(exponent) == pow(pub.h, exponent, pub.n)
+
+    @given(message=st.integers(0, 1 << 40), seed=st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_operations_equal_pow_formulas(self, keys3, dgk_keys, message, seed):
+        """For PEOS's l = 3 key and an l = 32 key, under one Random seed."""
+        for pub, priv in (keys3, dgk_keys):
+            n = pub.n
+            blind = random.Random(seed).getrandbits(pub.blind_bits)
+            m = message % pub.plaintext_space
+            ciphertext = pub.encrypt(message, random.Random(seed))
+            assert ciphertext == pow(pub.g, m, n) * pow(pub.h, blind, n) % n
+            assert pub.rerandomize(ciphertext, random.Random(seed)) == (
+                ciphertext * pow(pub.h, blind, n) % n
+            )
+            summed = pub.add_plain(ciphertext, message)
+            assert summed == ciphertext * pow(pub.g, m, n) % n
+            assert priv.decrypt(summed) == 2 * m % pub.plaintext_space
+
+
+class TestMinKeyBits:
+    def test_keys_generate_at_the_minimum(self):
+        """With the bare fit (two cofactor bits) none of these seeds
+        generates a key."""
+        bits = dgk.min_key_bits(3, subgroup_bits=40)
+        for seed in range(10):
+            pub, priv = dgk.generate_keypair(
+                l=3, key_bits=bits, subgroup_bits=40, rng=seed
+            )
+            assert priv.decrypt(pub.encrypt(5, rng=seed)) == 5

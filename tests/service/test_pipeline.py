@@ -1,9 +1,13 @@
 """End-to-end streaming pipeline: epochs, budget enforcement, backends."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.core.errors import ConfigError
 from repro.core.params import PeosPlan
+from repro.frequency_oracles import GRR
 from repro.service import (
     StreamConfig,
     TelemetryPipeline,
@@ -34,6 +38,14 @@ def full_flush_eps(config: StreamConfig) -> float:
     return flush_release_epsilon(
         config.d, config.plan, config.flush_size, config.plan.n_r
     )
+
+
+def peos_backend(r: int, keys=None):
+    """A PEOS backend; ``keys`` injects a keypair instead of generating one."""
+    backend = make_backend("peos", r=r, crypto_rng=5)
+    if keys is not None:
+        backend._public, backend._decrypt = keys[0], keys[1].decrypt
+    return backend
 
 
 def small_config(admitted_flushes: int = 4, **kwargs) -> StreamConfig:
@@ -231,6 +243,90 @@ class TestBackends:
         assert report.n_reports == 20
         assert pipeline.aggregate().total_reports == 30
         assert np.isfinite(pipeline.estimates()).all()
+
+    def test_peos_ahe_never_moves_an_estimate(self, paillier_keys):
+        """The default DGK key and an injected Paillier key draw only
+        from ``crypto_rng``, so epoch logs and releases are identical."""
+        config = small_config(
+            admitted_flushes=4,
+            flush_size=20,
+            backend="peos",
+            plan=small_plan(n_r=10),
+            keep_reports=True,
+        )
+        runs = []
+        for keys in (None, paillier_keys):
+            rng = np.random.default_rng(99)
+            pipeline = TelemetryPipeline(
+                config, rng, backend=peos_backend(2, keys)
+            )
+            for __ in range(2):
+                pipeline.submit(rng.integers(0, 8, 30))
+                pipeline.end_epoch()
+            runs.append(pipeline)
+        dgk_run, paillier_run = runs
+        assert dgk_run.backend._public.plaintext_space == 8
+        logs = [
+            [(epoch, row.tobytes()) for epoch, row in run.store.epoch_log()]
+            for run in runs
+        ]
+        assert len(logs[0]) == 2 and logs[0] == logs[1]
+        assert len(dgk_run.released_batches) == 3
+        for ours, theirs in zip(
+            dgk_run.released_batches, paillier_run.released_batches, strict=True
+        ):
+            assert ours.tobytes() == theirs.tobytes()
+
+    def test_peos_key_too_small_is_a_config_error(self, rng):
+        config = small_config(
+            flush_size=20, backend="peos", plan=small_plan(n_r=10)
+        )
+        backend = make_backend("peos", r=2, crypto_rng=5, key_bits=256)
+        with pytest.raises(ConfigError, match="at least 358 bits") as error:
+            TelemetryPipeline(config, rng, backend=backend)
+        assert error.value.field == "key_bits"
+
+    def test_peos_key_checked_against_each_pipeline(self, rng):
+        """A key made for report space 8 cannot carry 16: the second
+        pipeline refuses it at construction, before any flush exists to
+        be charged."""
+        backend = peos_backend(2)
+        first = TelemetryPipeline(
+            small_config(flush_size=20, backend="peos", plan=small_plan(n_r=10)),
+            rng,
+            backend=backend,
+        )
+        key = backend._public
+        wider = small_config(
+            d=16, flush_size=20, backend="peos",
+            plan=small_plan(d_prime=16, n_r=10),
+        )
+        with pytest.raises(ConfigError, match="report space 16") as error:
+            TelemetryPipeline(wider, rng, backend=backend)
+        assert error.value.field == "backend"
+        assert backend._public is key
+        first.submit(rng.integers(0, 8, 20))
+        assert first.end_epoch().n_reports == 20
+        assert first.aggregate().total_reports == 30
+
+    def test_peos_headroom_key_for_a_non_power_of_two_space(self, paillier_keys):
+        """GRR d = 10: 2^l is no multiple of M, so EOS relies on its
+        headroom bound, and the release equals the Paillier one."""
+        fo = GRR(10, 2.0)
+        encoded = np.arange(10, dtype=np.int64).repeat(2)
+        releases = []
+        for keys in (None, paillier_keys):
+            backend = peos_backend(3, keys)
+            backend.prepare(fo, np.random.default_rng(0))
+            releases.append(
+                backend.shuffle(encoded, 7, fo, np.random.default_rng(3))
+            )
+            if keys is None:
+                assert backend._public.plaintext_space % 10 != 0
+        dgk_release, paillier_release = releases
+        assert len(dgk_release) == 27
+        assert not Counter(encoded.tolist()) - Counter(dgk_release.tolist())
+        assert dgk_release.tolist() == paillier_release.tolist()
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,12 @@ import pytest
 
 from repro.costs import CostTracker
 from repro.crypto.secret_sharing import share_vector
-from repro.shuffle import encrypted_oblivious_shuffle, server_reconstruct
+from repro.shuffle import (
+    encrypted_oblivious_shuffle,
+    server_reconstruct,
+    shuffle_rounds,
+)
+from repro.shuffle.eos import ahe_covers, plaintext_bits
 
 M = 2**32
 
@@ -88,6 +93,76 @@ class TestNoRerandomization:
             plain, encrypted, 2, M, pub, rng, crypto_rng=3, rerandomize=False,
         )
         assert set(state.encrypted).isdisjoint(set(original))
+
+
+class _CountingKey:
+    """Forwards to a real AHE key, counting plaintext additions and
+    re-randomizations."""
+
+    def __init__(self, key):
+        self._key = key
+        self.add_plain_calls = 0
+        self.rerandomize_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self._key, name)
+
+    def add_plain(self, ciphertext, plain):
+        self.add_plain_calls += 1
+        return self._key.add_plain(ciphertext, plain)
+
+    def rerandomize(self, ciphertext, rng=None):
+        self.rerandomize_calls += 1
+        return self._key.rerandomize(ciphertext, rng)
+
+
+class TestOneBlindingPerHop:
+    """Each round the holder adds plaintext at every split and once at
+    the hide step; only the splits, which send the ciphertexts on,
+    re-randomize them."""
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_one_rerandomization_per_hop(self, rng, dgk_keys, r):
+        pub, priv = dgk_keys
+        key = _CountingKey(pub)
+        n = 6
+        values, rec, __ = _run_eos(key, priv.decrypt, r, n, rng)
+        assert sorted(rec.tolist()) == sorted(values.tolist())
+        assert key.rerandomize_calls == (
+            key.add_plain_calls - n * len(shuffle_rounds(r))
+        )
+
+    def test_cost_model_never_rerandomizes(self, rng, dgk_keys):
+        pub, priv = dgk_keys
+        key = _CountingKey(pub)
+        values = rng.integers(0, M, 6, dtype=np.int64)
+        shares = share_vector(values, 3, M, rng)
+        encrypted = [pub.encrypt(int(s), 9 + i) for i, s in enumerate(shares[2])]
+        plain = [shares[0], shares[1], np.zeros(6, dtype=np.int64)]
+        state = encrypted_oblivious_shuffle(
+            plain, encrypted, 2, M, key, rng, crypto_rng=3, rerandomize=False,
+        )
+        rec = np.asarray(server_reconstruct(state, M, priv.decrypt))
+        assert sorted(rec.tolist()) == sorted(values.tolist())
+        assert key.add_plain_calls > 0
+        assert key.rerandomize_calls == 0
+
+
+class TestPlaintextCoverage:
+    @pytest.mark.parametrize("modulus", [2, 8, 16, 2**32])
+    def test_power_of_two_wraps_natively(self, modulus):
+        l = plaintext_bits(modulus, 3)
+        assert 1 << l == modulus
+        assert ahe_covers(1 << l, modulus, 3)
+        assert not ahe_covers(1 << (l - 1), modulus, 3)
+
+    @pytest.mark.parametrize("modulus", [3, 10, 12, 5 * 2**32])
+    @pytest.mark.parametrize("r", [2, 3, 5])
+    def test_other_moduli_take_the_smallest_headroom(self, modulus, r):
+        l = plaintext_bits(modulus, r)
+        assert (1 << l) % modulus != 0
+        assert ahe_covers(1 << l, modulus, r)
+        assert not ahe_covers(1 << (l - 1), modulus, r)
 
 
 class TestDGKBackend:
