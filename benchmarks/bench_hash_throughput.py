@@ -10,10 +10,15 @@ Measures the server-side decode building blocks the kernel engine
   path: one ``xxhash32_int`` call per cell) at the same shape, and the
   resulting vectorized-over-scalar speedup — gated at >= 50x;
 * a bit-for-bit identity check of the vectorized XXH32 against the
-  scalar reference on a sampled ``(seed, value)`` grid, plus a
-  kernel-vs-naive-materialization identity check of ``support_counts``
-  for every family — both land in ``extra`` and CI asserts them from
-  the JSON artifact;
+  scalar reference on a sampled ``(seed, value)`` grid, plus
+  kernel-vs-naive-materialization identity checks of
+  ``support_counts_kernel`` for every family, at ``400 x 64`` and at
+  ``3,200 x 1,024`` (50 tiles) — all land in ``extra`` and CI asserts
+  them from the JSON artifact;
+* ``support_counts_kernel`` time per family at the wide-fold flush
+  shape (``14,003`` reports — 8,192 genuine plus 5,811 fake — x
+  ``1,024`` candidates, ``d_out=16``), recorded as ns per hash in
+  ``extra`` (no gate: timings depend on the machine);
 * the planned peak intermediate bytes of one support-count invocation at
   the acceptance shape, next to the bytes the legacy
   materialize-compare-sum loop would have touched (int64 matrix + bool
@@ -48,6 +53,14 @@ D_OUT = 16
 
 #: sampled grid for the scalar-vs-vectorized identity assert
 IDENTITY_SAMPLES = 256
+
+#: one wide-fold flush: 8,192 genuine + 5,811 fake reports x 1,024
+#: candidates, the kernel timing shape
+KERNEL_REPORTS = 14_003
+KERNEL_CANDIDATES = 1_024
+
+#: the wide kernel-vs-naive identity shape: 50 report-major tiles
+WIDE_IDENTITY_SHAPE = (3_200, 1_024)
 
 #: minimum vectorized-over-scalar speedup the kernel engine must deliver
 MIN_XXH32_SPEEDUP = 50.0
@@ -95,11 +108,24 @@ def _xxh32_identity(rng) -> bool:
     return vectorized.tolist() == scalar
 
 
-def _kernel_identity(family, rng) -> bool:
+def _time_kernel(family, rng, repeats: int = 3) -> float:
+    """Best-of-N ns per hash of one wide-fold-shaped kernel call."""
+    seeds = family.sample_seeds(KERNEL_REPORTS, rng)
+    reported = rng.integers(0, D_OUT, KERNEL_REPORTS)
+    candidates = np.arange(KERNEL_CANDIDATES)
+    best = float("inf")
+    for __ in range(repeats):
+        started = time.perf_counter()
+        support_counts_kernel(family, seeds, reported, candidates, D_OUT)
+        best = min(best, time.perf_counter() - started)
+    return best / (KERNEL_REPORTS * KERNEL_CANDIDATES) * 1e9
+
+
+def _kernel_identity(family, rng, n: int = 400, d: int = 64) -> bool:
     """Kernel counts == naive materialized counts on random reports."""
-    seeds = family.sample_seeds(400, rng)
-    reported = rng.integers(0, D_OUT, 400)
-    candidates = np.arange(64)
+    seeds = family.sample_seeds(n, rng)
+    reported = rng.integers(0, D_OUT, n)
+    candidates = np.arange(d)
     kernel = support_counts_kernel(family, seeds, reported, candidates, D_OUT)
     naive = (
         (family.hash_outer(seeds, candidates, D_OUT) == reported[:, None])
@@ -117,12 +143,14 @@ def _experiment() -> BenchResult:
         f"hash_outer at n={N_SEEDS} seeds x d={N_VALUES} values "
         f"(d_out={D_OUT}); support-count kernel memory at the same shape",
         f"{'family':<16}  {'hashes/sec':>14}  {'peak kernel bytes':>18}  "
-        f"{'legacy bytes':>13}",
+        f"{'legacy bytes':>13}  {'kernel ns/hash':>14}",
     ]
     extra = {
         "n_seeds": N_SEEDS,
         "n_values": N_VALUES,
         "d_out": D_OUT,
+        "kernel_reports": KERNEL_REPORTS,
+        "kernel_candidates": KERNEL_CANDIDATES,
         "families": {},
     }
     for family in FAMILIES:
@@ -134,16 +162,22 @@ def _experiment() -> BenchResult:
         # kernel planner's — size its footprint accordingly.
         legacy_chunk = min(N_SEEDS, max(1, LEGACY_CHUNK_BYTES // (8 * N_VALUES)))
         legacy_bytes = LEGACY_BYTES_PER_HASH * legacy_chunk * N_VALUES
+        kernel_ns = _time_kernel(family, rng)
         extra["families"][family.name] = {
             "hashes_per_sec": total / elapsed,
             "outer_seconds": elapsed,
             "peak_intermediate_bytes": plan.peak_intermediate_bytes,
             "legacy_intermediate_bytes": legacy_bytes,
+            "kernel_ns_per_hash": kernel_ns,
             "kernel_identity": _kernel_identity(family, rng),
+            "wide_kernel_identity": _kernel_identity(
+                family, rng, *WIDE_IDENTITY_SHAPE
+            ),
         }
         lines.append(
             f"{family.name:<16}  {total / elapsed:>14,.0f}  "
-            f"{plan.peak_intermediate_bytes:>18,}  {legacy_bytes:>13,}"
+            f"{plan.peak_intermediate_bytes:>18,}  {legacy_bytes:>13,}  "
+            f"{kernel_ns:>14.2f}"
         )
 
     xxh = XXHash32Family()
@@ -162,6 +196,10 @@ def _experiment() -> BenchResult:
         record["kernel_identity"] for record in extra["families"].values()
     )
     extra["kernel_identity"] = kernel_ok
+    wide_ok = all(
+        record["wide_kernel_identity"] for record in extra["families"].values()
+    )
+    extra["wide_kernel_identity"] = wide_ok
 
     lines += [
         "",
@@ -175,6 +213,11 @@ def _experiment() -> BenchResult:
         f"{'yes' if extra['xxh32_identity'] else 'NO — IDENTITY VIOLATION'}",
         f"kernel == naive materialization (all families): "
         f"{'yes' if kernel_ok else 'NO — IDENTITY VIOLATION'}",
+        f"kernel == naive at {WIDE_IDENTITY_SHAPE[0]:,} x "
+        f"{WIDE_IDENTITY_SHAPE[1]:,} (all families): "
+        f"{'yes' if wide_ok else 'NO — IDENTITY VIOLATION'}",
+        f"kernel ns/hash measured at {KERNEL_REPORTS:,} x "
+        f"{KERNEL_CANDIDATES:,} (best of 3 calls)",
     ]
     return BenchResult(table="\n".join(lines), extra=extra)
 
@@ -188,6 +231,10 @@ def bench_hash_throughput(benchmark):
     )
     assert result.extra["kernel_identity"], (
         "support-count kernel diverged from naive materialization"
+    )
+    assert result.extra["wide_kernel_identity"], (
+        "support-count kernel diverged from naive materialization "
+        "at the 50-tile shape"
     )
     assert result.extra["xxh32_speedup"] >= MIN_XXH32_SPEEDUP, (
         f"vectorized XXH32 speedup {result.extra['xxh32_speedup']:.1f}x "

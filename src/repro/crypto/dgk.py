@@ -229,11 +229,19 @@ def generate_keypair(
         Plaintext bit-length (the paper uses 32 or 64).
     key_bits:
         Modulus size; the paper's deployment uses 3072, tests use less.
+        Below :func:`min_key_bits` it is a ``ValueError``, raised before
+        any prime search.
     subgroup_bits:
         Size of the secret primes ``v_p, v_q`` (DGK's ``t`` parameter).
     """
     if l < 1:
         raise ValueError(f"plaintext bits must be >= 1, got {l}")
+    minimum = min_key_bits(l, subgroup_bits)
+    if key_bits < minimum:
+        raise ValueError(
+            f"a DGK key with l = {l} and subgroup_bits = {subgroup_bits} "
+            f"needs key_bits >= {minimum}, got {key_bits}"
+        )
     rand = as_random(rng)
     u = 1 << l
     half = key_bits // 2

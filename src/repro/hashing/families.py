@@ -14,8 +14,8 @@ Three families are provided:
   the Mersenne modulus makes the family evaluable with pure 64-bit numpy
   arithmetic.  This is the default.
 * :class:`XXHash32Family` — seeded xxHash32, matching the paper's prototype
-  (4-byte seeds).  Every chunk path runs the branch-free vectorized lane
-  arithmetic of :func:`repro.hashing.xxhash32.xxhash32_int_array`
+  (4-byte seeds).  Every array path runs the branch-free vectorized lane
+  arithmetic of :func:`repro.hashing.xxhash32.xxhash32_lanes`
   (bit-identical to the scalar reference), so the paper's own family is
   usable at paper scale.
 * :class:`MultiplyShiftHashFamily` — a fast splitmix-style mixer; not
@@ -27,23 +27,34 @@ which makes reports compact (seed + hashed value) exactly as in the paper.
 
 The ``O(n * d)`` support-count workload itself lives in
 :mod:`repro.hashing.kernels`, which drives the families through
-:meth:`HashFamily.hash_outer_u32` — the uint32 chunk format that keeps the
-decode hot path's intermediates at 4 bytes per hash.
+:meth:`HashFamily.outer_u32_tiles`: uint32 tiles (4 bytes per hash) that
+default to :meth:`HashFamily.hash_outer_u32` and that xxHash32 hashes in
+place in buffers the kernel allocates once per call.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .xxhash32 import xxhash32_int, xxhash32_int_array
+from .xxhash32 import (
+    xxhash32_int,
+    xxhash32_int_array,
+    xxhash32_lane_terms,
+    xxhash32_lanes,
+    xxhash32_seed_terms,
+)
 
 _MERSENNE31 = (1 << 31) - 1
 _MASK64 = (1 << 64) - 1
 
 ArrayLike = Union[Sequence[int], np.ndarray]
+
+#: ``tile(rows, cols, out, scratch)`` -> one uint32 tile of the kernel
+#: (see :meth:`HashFamily.outer_u32_tiles`)
+OuterTile = Callable[[slice, slice, np.ndarray, np.ndarray], np.ndarray]
 
 
 def splitmix64(value: int) -> int:
@@ -79,22 +90,36 @@ def _mod_mersenne31(values: np.ndarray) -> np.ndarray:
     return np.where(values >= prime, values - prime, values)
 
 
-def _mod_d_out_u32(hashes: np.ndarray, d_out: int) -> np.ndarray:
+def _mod_d_out_u32(
+    hashes: np.ndarray, d_out: int, scratch: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Reduce uint32 hashes into ``[0, d_out)`` without leaving uint32.
 
     For ``d_out >= 2^32`` the reduction is the identity (hashes are already
-    below ``d_out``), which sidesteps an impossible uint32 modulus.
+    below ``d_out``), which sidesteps an impossible uint32 modulus.  A
+    power-of-two ``d_out`` keeps the low bits with one ``bitwise_and``.
 
-    The remainder is formed as ``h - (h // d) * d``: numpy divides a uint32
-    array by a scalar through libdivide (a multiply and shift), so the
-    three passes cost about a quarter of ``np.remainder``'s hardware
-    division on large arrays.  It is exact, since ``(h // d) * d <= h``
-    never wraps.
+    Otherwise the remainder is formed as ``h - (h // d) * d``: numpy
+    divides a uint32 array by a scalar through libdivide (a multiply and
+    shift), so the three passes cost about a quarter of
+    ``np.remainder``'s hardware division on large arrays.  It is exact,
+    since ``(h // d) * d <= h`` never wraps.
+
+    With ``scratch`` (a uint32 array of ``hashes``' shape) the reduction
+    runs in place: ``hashes`` is overwritten and returned, and nothing is
+    allocated.  Without it, ``hashes`` is left as it was.
     """
-    if d_out < (1 << 32):
-        divisor = np.uint32(d_out)
-        return hashes - (hashes // divisor) * divisor
-    return hashes
+    if d_out >= (1 << 32):
+        return hashes
+    in_place = scratch is not None
+    if d_out & (d_out - 1) == 0:
+        low_bits = np.uint32(d_out - 1)
+        return np.bitwise_and(hashes, low_bits, out=hashes if in_place else None)
+    divisor = np.uint32(d_out)
+    quotient = np.floor_divide(hashes, divisor, out=scratch)
+    quotient *= divisor
+    # Into hashes when in place, otherwise into the fresh quotient.
+    return np.subtract(hashes, quotient, out=hashes if in_place else quotient)
 
 
 class HashFamily(ABC):
@@ -154,6 +179,25 @@ class HashFamily(ABC):
         shape.
         """
         return self.hash_outer(seeds, values, d_out).astype(np.uint32)
+
+    def outer_u32_tiles(
+        self, seeds: np.ndarray, values: np.ndarray, d_out: int
+    ) -> OuterTile:
+        """Set up the support-count kernel's tiles of one call.
+
+        Returns ``tile(rows, cols, out, scratch)``, which evaluates
+        ``hash_outer_u32(seeds[rows], values[cols], d_out)`` for two
+        slices.  ``out`` and ``scratch`` are uint32 buffers of the tile's
+        shape that the kernel allocates once per call.  The default
+        ignores them and returns a fresh :meth:`hash_outer_u32` matrix; a
+        family may instead do its per-call work here, once, and hash each
+        tile into ``out`` (through ``scratch``) and return it.
+        """
+
+        def tile(rows: slice, cols: slice, out: np.ndarray, scratch: np.ndarray):
+            return self.hash_outer_u32(seeds[rows], values[cols], d_out)
+
+        return tile
 
     def hash_pairwise(
         self, seeds: np.ndarray, values: ArrayLike, d_out: int
@@ -241,9 +285,10 @@ class CarterWegmanHashFamily(HashFamily):
         values = self._check_domain(values)
         with np.errstate(over="ignore"):
             mixed = a[:, None] * values[None, :] + b[:, None]
-        # Outputs are below p < 2^31, so the uint32 narrowing is lossless
-        # regardless of d_out.
-        return (_mod_mersenne31(mixed) % np.uint64(d_out)).astype(np.uint32)
+        # Mersenne-reduced values are below p < 2^31, so the uint32
+        # narrowing is lossless and the [0, d_out) step can take the
+        # libdivide reduction instead of a uint64 division per hash.
+        return _mod_d_out_u32(_mod_mersenne31(mixed).astype(np.uint32), d_out)
 
     def hash_pairwise(
         self, seeds: np.ndarray, values: ArrayLike, d_out: int
@@ -314,10 +359,11 @@ class XXHash32Family(HashFamily):
 
     Seeds are 32-bit (4 bytes in each report, as in Section VII-D).  Every
     array path — ``hash_values``, ``hash_outer``, ``hash_pairwise`` and the
-    kernel-facing ``hash_outer_u32`` — runs the branch-free vectorized lane
-    arithmetic of :func:`repro.hashing.xxhash32.xxhash32_int_array`, which
-    is validated bit-for-bit against the scalar reference implementation
-    (``hash_value`` still evaluates it, as the per-element ground truth).
+    kernel-facing ``outer_u32_tiles`` — runs the branch-free vectorized
+    lane arithmetic of :func:`repro.hashing.xxhash32.xxhash32_lanes`,
+    which is validated bit-for-bit against the scalar reference
+    implementation (``hash_value`` still evaluates it, as the per-element
+    ground truth).
     Server-side aggregation with this family is therefore pure numpy; see
     ``benchmarks/bench_hash_throughput.py`` for the measured throughput.
     """
@@ -344,6 +390,21 @@ class XXHash32Family(HashFamily):
         values = np.asarray(values)
         hashes = xxhash32_int_array(values[None, :], seeds[:, None])
         return _mod_d_out_u32(hashes, d_out)
+
+    def outer_u32_tiles(
+        self, seeds: np.ndarray, values: np.ndarray, d_out: int
+    ) -> OuterTile:
+        """Seed and lane terms once per call; each tile is hashed and
+        reduced in place in the kernel's buffers, allocating nothing."""
+        seed_terms = xxhash32_seed_terms(seeds)
+        lane_lo, lane_hi = xxhash32_lane_terms(values)
+
+        def tile(rows: slice, cols: slice, out: np.ndarray, scratch: np.ndarray):
+            hi = None if lane_hi is None else lane_hi[cols]
+            xxhash32_lanes(seed_terms[rows, None], lane_lo[cols], hi, out, scratch)
+            return _mod_d_out_u32(out, d_out, scratch)
+
+        return tile
 
     def hash_pairwise(
         self, seeds: np.ndarray, values: ArrayLike, d_out: int

@@ -9,18 +9,26 @@ matrix outgrows the caches.  This module is the single shared
 implementation every consumer (the local-hashing oracles, the
 incremental aggregator's materialized fold path, the sharded pipeline's
 process folds, and through them the sweep engine and the PEOS protocol
-decode) routes through, built around four ideas:
+decode) routes through, built around five ideas:
 
 * **uint32 intermediates.**  Hashed values live in ``[0, d')`` with ``d'``
   far below ``2^32``, so tiles are produced in uint32 via
-  :meth:`~repro.hashing.families.HashFamily.hash_outer_u32`, whose
+  :meth:`~repro.hashing.families.HashFamily.outer_u32_tiles`, whose
   ``[0, d')`` reduction is a scalar ``floor_divide`` (numpy's libdivide
-  path) rather than ``np.remainder``.
+  path) rather than ``np.remainder``, or one ``bitwise_and`` when ``d'``
+  is a power of two.
 * **cache-resident tiles.**  The default budget
   (:data:`DEFAULT_CHUNK_BYTES`) holds 64 Ki hashes per tile: a 256 KiB
   uint32 tile plus its 64 KiB match mask.  Every elementwise pass of
   hashing, reduction and matching then runs over L2-resident data instead
   of streaming a multi-MiB matrix through memory once per pass.
+* **buffers per call, not per tile.**  One call allocates the uint32
+  tile, a uint32 scratch array of the same shape and the match mask,
+  and every tile is a view of them.  xxHash32 computes its seed and lane
+  terms once per call and hashes, reduces and matches each tile in
+  place with ``out=``, so its tiles allocate nothing; the other families
+  return a fresh :meth:`~repro.hashing.families.HashFamily.hash_outer_u32`
+  tile per step.
 * **axis-0 match count.**  A tile is compared against the reported values
   with one ``np.equal`` (a 1-byte mask) and the mask's uint8 view is
   summed down the report axis with ``np.add.reduce`` — two contiguous
@@ -45,7 +53,7 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from .families import HashFamily
+from .families import HashFamily, OuterTile
 
 __all__ = [
     "KernelPlan",
@@ -55,7 +63,8 @@ __all__ = [
 ]
 
 #: bytes of matrix-shaped intermediates per hash: the uint32 tile (4)
-#: plus the boolean match mask reduced along axis 0 (1)
+#: plus the boolean match mask reduced along axis 0 (1).  xxHash32's
+#: uint32 scratch array is left out, so the tile shapes stay as planned.
 _BYTES_PER_HASH = 5
 
 #: default per-tile intermediate budget: 64 Ki hashes at
@@ -142,31 +151,23 @@ def plan_support_counts(
     )
 
 
-def _chunk_hashes(
+def _tiles(
     family: HashFamily, seeds: np.ndarray, candidates: np.ndarray, d_out: int
-) -> np.ndarray:
-    """One hash chunk in the kernel's compare dtype.
+) -> OuterTile:
+    """The call's tile function, in the kernel's compare dtype.
 
     uint32 whenever the report domain allows it; the (never exercised by
-    the built-in oracles) ``d_out > 2^32`` case falls back to the int64
-    path so reported values outside uint32 still compare exactly.
+    the built-in oracles) ``d_out > 2^32`` case falls back to fresh int64
+    :meth:`~repro.hashing.families.HashFamily.hash_outer` tiles so
+    reported values outside uint32 still compare exactly.
     """
     if d_out <= _UINT32_DOMAIN:
-        return family.hash_outer_u32(seeds, candidates, d_out)
-    return family.hash_outer(seeds, candidates, d_out)
+        return family.outer_u32_tiles(seeds, candidates, d_out)
 
+    def tile(rows: slice, cols: slice, out: np.ndarray, scratch: np.ndarray):
+        return family.hash_outer(seeds[rows], candidates[cols], d_out)
 
-def _tile_matches(tile: np.ndarray, reported: np.ndarray) -> np.ndarray:
-    """Per-column count of ``tile[i, j] == reported[i]``.
-
-    One 1-byte equality mask, summed down the report axis through its
-    uint8 view.  The per-tile sum is int32 whenever the tile has fewer
-    than ``2^31`` rows (a column count cannot then overflow it); callers
-    accumulate into int64.
-    """
-    mask = np.equal(tile, reported[:, None])
-    dtype = np.int32 if tile.shape[0] < (1 << 31) else np.int64
-    return np.add.reduce(mask.view(np.uint8), axis=0, dtype=dtype)
+    return tile
 
 
 def support_counts_kernel(
@@ -211,14 +212,40 @@ def support_counts_kernel(
 
     compare_dtype = np.uint32 if d_out <= _UINT32_DOMAIN else np.int64
     reported_cmp = reported.astype(compare_dtype, copy=False)
+    tile_of = _tiles(family, seeds, candidates, d_out)
 
-    if plan.orientation == "candidates":
-        for start, stop in chunk_spans(n_candidates, plan.chunk):
-            tile = _chunk_hashes(family, seeds, candidates[start:stop], d_out)
-            counts[start:stop] += _tile_matches(tile, reported_cmp)
-        return counts
+    # One set of buffers per call, sized for a full tile; each tile is a
+    # view of their first rows * cols elements, so a ragged last tile
+    # stays contiguous.  A tile's column count cannot overflow int32 (a
+    # tile has far fewer than 2^31 rows); the running counts are int64.
+    report_major = plan.orientation == "reports"
+    walked = n if report_major else n_candidates
+    step = min(plan.chunk, walked)
+    rows, cols = (step, n_candidates) if report_major else (n, step)
+    hashes = np.empty(rows * cols, dtype=np.uint32)
+    scratch = np.empty_like(hashes)
+    mask = np.empty(rows * cols, dtype=np.bool_)
+    matches = np.empty(cols, dtype=np.int32 if rows < (1 << 31) else np.int64)
 
-    for start, stop in chunk_spans(n, plan.chunk):
-        tile = _chunk_hashes(family, seeds[start:stop], candidates, d_out)
-        counts += _tile_matches(tile, reported_cmp[start:stop])
+    for start, stop in chunk_spans(walked, plan.chunk):
+        if report_major:
+            row_span, col_span = slice(start, stop), slice(None)
+            shape = (stop - start, n_candidates)
+        else:
+            row_span, col_span = slice(None), slice(start, stop)
+            shape = (n, stop - start)
+        size = shape[0] * shape[1]
+        tile = tile_of(
+            row_span,
+            col_span,
+            hashes[:size].reshape(shape),
+            scratch[:size].reshape(shape),
+        )
+        tile_mask = np.equal(
+            tile, reported_cmp[row_span, None], out=mask[:size].reshape(shape)
+        )
+        counts[col_span] += np.add.reduce(
+            tile_mask.view(np.uint8), axis=0, dtype=matches.dtype,
+            out=matches[: shape[1]],
+        )
     return counts

@@ -19,9 +19,18 @@ Two implementations are provided:
   ``acc = seed + PRIME5 + 8`` followed by two 4-byte-lane rounds and the
   avalanche), so the whole algorithm collapses to a handful of wrapping
   uint32 array operations that broadcast over ``seeds x values``.
+
+The array path is split so the support-count kernel can hash tile after
+tile without allocating: :func:`xxhash32_seed_terms` and
+:func:`xxhash32_lane_terms` compute the per-seed and per-value terms
+once, and :func:`xxhash32_lanes` runs the lane rounds and the avalanche
+in place, in an output and a scratch array the caller owns.
+:func:`xxhash32_int_array` is those three steps with fresh arrays.
 """
 
 from __future__ import annotations
+
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -119,19 +128,90 @@ def xxhash32_int(value: int, seed: int = 0) -> int:
     return xxhash32(int(value).to_bytes(8, "little"), seed)
 
 
-def _rotl32_np(values: np.ndarray, count: int) -> np.ndarray:
-    """Rotate a uint32 array left by ``count`` bits (in place when possible)."""
-    return (values << np.uint32(count)) | (values >> np.uint32(32 - count))
+def xxhash32_seed_terms(seeds: np.ndarray) -> np.ndarray:
+    """The per-seed start of the 8-byte short-input branch, as uint32.
+
+    ``acc = seed + PRIME5 + 8`` (the input length): seeds wrap modulo
+    ``2^32`` exactly like the scalar path.
+    """
+    seeds = np.asarray(seeds)
+    with np.errstate(over="ignore"):
+        seeds32 = (seeds.astype(np.uint64, copy=False) & np.uint64(_MASK32)).astype(
+            np.uint32
+        )
+        return seeds32 + np.uint32((_PRIME5 + 8) & _MASK32)
 
 
-def _avalanche_np(acc: np.ndarray) -> np.ndarray:
-    """Vectorized final mixing stage, operating on ``acc`` in place."""
-    acc ^= acc >> np.uint32(15)
-    acc *= np.uint32(_PRIME2)
-    acc ^= acc >> np.uint32(13)
-    acc *= np.uint32(_PRIME3)
-    acc ^= acc >> np.uint32(16)
-    return acc
+def xxhash32_lane_terms(
+    values: np.ndarray,
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The two 4-byte lanes of each value's 8-byte encoding, times PRIME3.
+
+    Returns ``(lo, hi)`` as uint32 arrays, premultiplied so a lane round
+    is add, rotate, multiply.  ``hi`` is ``None`` when every value is
+    below ``2^32``: its lane is then zero and the round skips the add.
+    Values must lie in ``[0, 2^64)``.
+    """
+    values = np.asarray(values)
+    if values.size and values.dtype != np.uint64 and int(values.min()) < 0:
+        raise ValueError(
+            f"value {int(values.min())} outside [0, 2^64): xxHash32 hashes "
+            f"the 8-byte little-endian encoding"
+        )
+    values = values.astype(np.uint64, copy=False)
+    prime3 = np.uint32(_PRIME3)
+    with np.errstate(over="ignore"):
+        lo = (values & np.uint64(_MASK32)).astype(np.uint32) * prime3
+        if not values.size or int(values.max()) <= _MASK32:
+            return lo, None
+        return lo, (values >> np.uint64(32)).astype(np.uint32) * prime3
+
+
+def _rotl32_mul(
+    acc: np.ndarray, count: int, prime: int, scratch: np.ndarray
+) -> None:
+    """``acc = rotl(acc, count) * prime`` in place, through ``scratch``."""
+    np.left_shift(acc, np.uint32(count), out=scratch)
+    np.right_shift(acc, np.uint32(32 - count), out=acc)
+    acc |= scratch
+    acc *= np.uint32(prime)
+
+
+def _xorshift(acc: np.ndarray, count: int, scratch: np.ndarray) -> None:
+    """``acc ^= acc >> count`` in place, through ``scratch``."""
+    np.right_shift(acc, np.uint32(count), out=scratch)
+    acc ^= scratch
+
+
+def xxhash32_lanes(
+    seed_terms: np.ndarray,
+    lane_lo: np.ndarray,
+    lane_hi: Optional[np.ndarray],
+    out: np.ndarray,
+    scratch: np.ndarray,
+) -> np.ndarray:
+    """XXH32 of 8-byte inputs from precomputed terms, written into ``out``.
+
+    ``seed_terms`` (:func:`xxhash32_seed_terms`) broadcasts against the
+    lane terms (:func:`xxhash32_lane_terms`) to ``out``'s shape; pass
+    ``seed_terms[:, None]`` against 1-D lanes for an outer product.
+    ``out`` and ``scratch`` are uint32 arrays of that shape: ``out`` is
+    overwritten with the hashes and returned, ``scratch`` is clobbered,
+    and nothing is allocated.  This is the module's one copy of the lane
+    arithmetic.
+    """
+    np.add(seed_terms, lane_lo, out=out)
+    _rotl32_mul(out, 17, _PRIME4, scratch)
+    if lane_hi is not None:
+        out += lane_hi
+    _rotl32_mul(out, 17, _PRIME4, scratch)
+    # Avalanche.
+    _xorshift(out, 15, scratch)
+    out *= np.uint32(_PRIME2)
+    _xorshift(out, 13, scratch)
+    out *= np.uint32(_PRIME3)
+    _xorshift(out, 16, scratch)
+    return out
 
 
 def xxhash32_int_array(values: np.ndarray, seeds: np.ndarray) -> np.ndarray:
@@ -144,33 +224,11 @@ def xxhash32_int_array(values: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     the scalar path.  Returns the uint32 hashes with the broadcast shape,
     bit-for-bit identical to the scalar reference.
 
-    Every intermediate is uint32 (wrapping lane arithmetic), so the peak
-    footprint is a small constant number of 4-byte-per-element temporaries.
+    It runs :func:`xxhash32_lanes` into one fresh output array and one
+    scratch array of the broadcast shape.
     """
-    values = np.asarray(values)
-    if values.size and values.dtype != np.uint64 and int(values.min()) < 0:
-        raise ValueError(
-            f"value {int(values.min())} outside [0, 2^64): xxHash32 hashes "
-            f"the 8-byte little-endian encoding"
-        )
-    values = values.astype(np.uint64, copy=False)
-    seeds = np.asarray(seeds)
-    with np.errstate(over="ignore"):
-        seeds32 = (seeds.astype(np.uint64, copy=False) & np.uint64(_MASK32)).astype(
-            np.uint32
-        )
-        # 8-byte little-endian encoding = two 4-byte lanes; premultiply by
-        # the lane prime so the loop body is pure add/rotate/multiply.
-        lane_lo = (values & np.uint64(_MASK32)).astype(np.uint32) * np.uint32(_PRIME3)
-        lane_hi = (values >> np.uint64(32)).astype(np.uint32) * np.uint32(_PRIME3)
-        # Short-input branch for length 8: acc = seed + PRIME5, then += len.
-        acc = seeds32 + np.uint32((_PRIME5 + 8) & _MASK32)
-        shape = np.broadcast_shapes(np.shape(acc), lane_lo.shape)
-        acc = np.broadcast_to(acc, shape).copy()
-        acc += lane_lo
-        acc = _rotl32_np(acc, 17)
-        acc *= np.uint32(_PRIME4)
-        acc += lane_hi
-        acc = _rotl32_np(acc, 17)
-        acc *= np.uint32(_PRIME4)
-        return _avalanche_np(acc)
+    lane_lo, lane_hi = xxhash32_lane_terms(values)
+    seed_terms = xxhash32_seed_terms(seeds)
+    shape = np.broadcast_shapes(seed_terms.shape, lane_lo.shape)
+    out = np.empty(shape, dtype=np.uint32)
+    return xxhash32_lanes(seed_terms, lane_lo, lane_hi, out, np.empty_like(out))

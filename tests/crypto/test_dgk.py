@@ -143,7 +143,24 @@ class TestFixedBaseTables:
             assert priv.decrypt(summed) == 2 * m % pub.plaintext_space
 
 
+class _NoDraws(random.Random):
+    """A generator that fails the test if key generation draws from it."""
+
+    def getrandbits(self, k):
+        raise AssertionError("key generation started a prime search")
+
+    def random(self):
+        raise AssertionError("key generation started a prime search")
+
+
 class TestMinKeyBits:
+    def test_too_small_key_refused_before_any_search(self):
+        """l = 3 with t = 160 needs 358 bits; 330 used to search up to
+        100,000 candidates per prime before a RuntimeError."""
+        assert dgk.min_key_bits(3) == 358
+        with pytest.raises(ValueError, match="key_bits >= 358, got 330"):
+            dgk.generate_keypair(l=3, key_bits=330, rng=_NoDraws())
+
     def test_keys_generate_at_the_minimum(self):
         """With the bare fit (two cofactor bits) none of these seeds
         generates a key."""

@@ -1,7 +1,11 @@
 """Support-count kernel engine: bit-identity on every path, plan logic."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hashing import (
     CarterWegmanHashFamily,
@@ -10,6 +14,7 @@ from repro.hashing import (
     chunk_spans,
     plan_support_counts,
     support_counts_kernel,
+    xxhash32_int,
 )
 
 FAMILIES = [CarterWegmanHashFamily(), MultiplyShiftHashFamily(), XXHash32Family()]
@@ -161,6 +166,119 @@ class TestTileEdges:
         assert counts.tolist() == naive_counts(
             family, seeds, reported, candidates, d_out
         ).tolist()
+
+
+def scalar_xxhash32_counts(seeds, reported, candidates, d_out):
+    """Counts from the scalar spec transcription, one call per cell."""
+    counts = [0] * len(candidates)
+    for seed, value in zip(seeds, reported):
+        for j, candidate in enumerate(candidates):
+            counts[j] += xxhash32_int(candidate, seed) % d_out == value
+    return counts
+
+
+@st.composite
+def ragged_walks(draw):
+    """``(orientation, n, d, chunk_bytes)`` whose plan walks two or more
+    full tiles and then a ragged one."""
+    step = draw(st.integers(2, 6), label="rows or columns per tile")
+    walked = step * draw(st.integers(2, 4)) + draw(st.integers(1, step - 1))
+    if draw(st.booleans(), label="report-major"):
+        n, d = walked, draw(st.integers(1, 24), label="d")
+        chunk_bytes = 5 * d * step + draw(st.integers(0, 5 * d - 1))
+        return "reports", n, d, chunk_bytes
+    d = walked
+    n = draw(st.integers(2, (d - 1) // step), label="n")
+    slack = min(5 * n - 1, 5 * d - 1 - 5 * n * step)
+    chunk_bytes = 5 * n * step + draw(st.integers(0, slack))
+    return "candidates", n, d, chunk_bytes
+
+
+class TestXXHash32AgainstScalar:
+    """The in-place tile path against the scalar reference, which shares
+    no code with it: wide and power-of-two d', candidates whose high lane
+    is nonzero, and ragged tiles in both orientations."""
+
+    @given(walk=ragged_walks(), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_counts_equal_scalar_reference(self, walk, data):
+        orientation, n, d, chunk_bytes = walk
+        plan = plan_support_counts(n, d, 2, chunk_bytes)
+        walked = n if orientation == "reports" else d
+        assert plan.orientation == orientation
+        assert walked > 2 * plan.chunk and walked % plan.chunk
+        d_out = data.draw(
+            st.one_of(
+                st.integers(1, (1 << 32) - 1),
+                st.integers(0, 31).map(lambda k: 1 << k),
+            ),
+            label="d_out",
+        )
+        candidates = data.draw(
+            st.lists(
+                st.one_of(
+                    st.integers(0, (1 << 32) - 1),
+                    st.integers(1 << 32, (1 << 64) - 1),
+                ),
+                min_size=d, max_size=d,
+            ),
+            label="candidates",
+        )
+        seeds = data.draw(
+            st.lists(st.integers(0, (1 << 64) - 1), min_size=n, max_size=n),
+            label="seeds",
+        )
+        # Most reports carry a true hash of some candidate, so counts are
+        # not all zero even when d' is wide.
+        reported = []
+        for seed in seeds:
+            j = data.draw(st.none() | st.integers(0, d - 1))
+            reported.append(
+                data.draw(st.integers(0, d_out - 1))
+                if j is None
+                else xxhash32_int(candidates[j], seed) % d_out
+            )
+        counts = support_counts_kernel(
+            XXHash32Family(),
+            np.array(seeds, dtype=np.uint64),
+            np.array(reported, dtype=np.int64),
+            np.array(candidates, dtype=np.uint64),
+            d_out,
+            chunk_bytes=chunk_bytes,
+        )
+        assert counts.tolist() == scalar_xxhash32_counts(
+            seeds, reported, candidates, d_out
+        )
+
+
+class TestTileBuffers:
+    def test_xxhash32_call_allocates_no_tile_temporaries(self, rng):
+        """One call at 3,200 x 1,024 walks 50 tiles.  Its traced peak
+        stays within its tile, scratch and mask buffers plus per-report
+        and per-candidate terms; a tile-sized temporary alive at the peak
+        would exceed that."""
+        family = XXHash32Family()
+        n, d, d_out = 3200, 1024, 16
+        plan = plan_support_counts(n, d, d_out)
+        assert plan.orientation == "reports" and -(-n // plan.chunk) == 50
+        seeds = family.sample_seeds(n, rng)
+        reported = rng.integers(0, d_out, n)
+        candidates = np.arange(d)
+        # 4 + 4 + 1 bytes per tile hash: 576 KiB; plus 48 B per report
+        # and 64 B per candidate: 790 KiB in all.
+        budget = 9 * plan.chunk * d + 48 * n + 64 * d
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before, __ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            support_counts_kernel(family, seeds, reported, candidates, d_out)
+            __, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak - before < budget
 
 
 class TestReportedRange:
