@@ -16,8 +16,8 @@ Layout:
   vectorized, including the paper's xxHash32 prototype) and the
   low-allocation support-count kernel engine behind every O(n*d)
   aggregation hot path.
-* :mod:`repro.crypto` — Paillier, DGK, AES-128-CBC, secp256r1 ElGamal,
-  additive secret sharing, onion encryption.
+* :mod:`repro.crypto` — DGK (PEOS's AHE), AES-128-CBC, secp256r1
+  ElGamal, additive secret sharing, onion encryption.
 * :mod:`repro.shuffle` — single shuffler, sequential SS, oblivious
   shuffle, and EOS.
 * :mod:`repro.protocol` — PEOS end to end, parties/adversaries, attacks,

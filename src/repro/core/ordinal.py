@@ -5,8 +5,8 @@ shuffleable mechanism serializes its reports to integers in ``[0, M)``
 before secret sharing, fake injection, and shuffling.  Three layers used to
 reimplement the same int64-vs-object decision independently — the
 frequency oracles (``encode_reports``/``decode_reports``), the PEOS
-protocol (``concat_encoded``/``_concat_pad``/``_zeros``), and the
-streaming service buffers.  :class:`OrdinalCodec` centralizes it:
+protocol (concatenating and padding share vectors), and the streaming
+service buffers.  :class:`OrdinalCodec` centralizes it:
 
 * ``M < 2**62`` — everything stays in vectorized int64 numpy arrays.
   This is the common case (GRR reports; local hashing with the 32-bit

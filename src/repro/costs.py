@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from dataclasses import dataclass, field
+from typing import Optional
 
 
 @dataclass
@@ -101,6 +102,14 @@ class CostTracker:
     def summary(self) -> dict[str, PartyCost]:
         """Plain-dict snapshot for printing."""
         return dict(self.parties)
+
+
+def metered(
+    tracker: Optional[CostTracker], party: str
+) -> AbstractContextManager:
+    """``tracker.compute(party)``, or a context that records nothing when
+    the run is untracked (``tracker`` is None)."""
+    return nullcontext() if tracker is None else tracker.compute(party)
 
 
 def share_bytes(modulus: int) -> int:

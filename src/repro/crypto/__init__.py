@@ -2,16 +2,15 @@
 
 All schemes are complete pure-Python implementations (no mocks):
 
-* :mod:`repro.crypto.paillier` — Paillier AHE (plaintext ``Z_N``).
 * :mod:`repro.crypto.dgk` — DGK-style AHE with plaintext ``Z_{2^l}`` and
-  Pohlig-Hellman full decryption (Section VI-A3's requirement).
+  Pohlig-Hellman full decryption, PEOS's AHE (Section VI-A3).
 * :mod:`repro.crypto.aes` — AES-128-CBC (FIPS-197 validated).
 * :mod:`repro.crypto.elgamal_ec` — secp256r1 hybrid ElGamal.
 * :mod:`repro.crypto.secret_sharing` — additive sharing over ``Z_M``.
 * :mod:`repro.crypto.onion` — layered encryption for the SS baseline.
 """
 
-from . import aes, dgk, elgamal_ec, math_utils, onion, paillier, secret_sharing
+from . import aes, dgk, elgamal_ec, math_utils, onion, secret_sharing
 from .aes import AES128CBC
 from .secret_sharing import (
     add_share_vectors,
@@ -29,7 +28,6 @@ __all__ = [
     "elgamal_ec",
     "math_utils",
     "onion",
-    "paillier",
     "reconstruct_value",
     "reconstruct_vector",
     "secret_sharing",

@@ -228,9 +228,12 @@ def generate_keypair(
     l:
         Plaintext bit-length (the paper uses 32 or 64).
     key_bits:
-        Modulus size; the paper's deployment uses 3072, tests use less.
-        Below :func:`min_key_bits` it is a ``ValueError``, raised before
-        any prime search.
+        Modulus size: each prime has half of it, so ``N`` has
+        ``key_bits - 1`` or ``key_bits`` bits (often the former, as
+        only the top bit of each prime's random cofactor is forced).
+        The paper's deployment uses 3072, tests use less.  Below
+        :func:`min_key_bits` it is a ``ValueError``, raised before any
+        prime search.
     subgroup_bits:
         Size of the secret primes ``v_p, v_q`` (DGK's ``t`` parameter).
     """

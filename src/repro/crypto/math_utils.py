@@ -1,4 +1,4 @@
-"""Number-theoretic utilities backing the AHE schemes.
+"""Number-theoretic utilities backing DGK and EC-ElGamal.
 
 Everything here is pure Python over arbitrary-precision integers: modular
 inverses, Miller-Rabin primality testing, random prime generation (with and
@@ -12,9 +12,8 @@ is reproducible in tests; production callers can pass
 
 from __future__ import annotations
 
-import math
 import random
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 RandomLike = Union[random.Random, int, None]
 
@@ -59,11 +58,6 @@ def invmod(a: int, modulus: int) -> int:
     if g != 1:
         raise ValueError(f"{a} has no inverse modulo {modulus} (gcd={g})")
     return x % modulus
-
-
-def lcm(a: int, b: int) -> int:
-    """Least common multiple."""
-    return a // math.gcd(a, b) * b
 
 
 def is_probable_prime(n: int, rng: RandomLike = None, rounds: int = 40) -> bool:
@@ -151,33 +145,3 @@ def crt_pair(residue_p: int, p: int, residue_q: int, q: int) -> int:
     q_inv = invmod(q, p)
     diff = (residue_p - residue_q) % p
     return (residue_q + q * ((diff * q_inv) % p)) % (p * q)
-
-
-def random_below(bound: int, rng: RandomLike = None) -> int:
-    """Uniform integer in ``[0, bound)``."""
-    if bound <= 0:
-        raise ValueError(f"bound must be positive, got {bound}")
-    return as_random(rng).randrange(bound)
-
-
-def random_coprime(modulus: int, rng: RandomLike = None) -> int:
-    """Uniform unit modulo ``modulus`` (i.e. coprime with it)."""
-    rand = as_random(rng)
-    while True:
-        candidate = rand.randrange(1, modulus)
-        if math.gcd(candidate, modulus) == 1:
-            return candidate
-
-
-def int_to_bytes(value: int, length: Optional[int] = None) -> bytes:
-    """Big-endian byte encoding, minimally sized unless ``length`` given."""
-    if value < 0:
-        raise ValueError("only non-negative integers are encodable")
-    if length is None:
-        length = max(1, (value.bit_length() + 7) // 8)
-    return value.to_bytes(length, "big")
-
-
-def bytes_to_int(data: bytes) -> int:
-    """Inverse of :func:`int_to_bytes`."""
-    return int.from_bytes(data, "big")

@@ -37,10 +37,6 @@ def uniform_array(m: int, size: int, rng: np.random.Generator) -> np.ndarray:
     return uniform_ordinal(m, size, rng)
 
 
-#: backwards-compat alias; prefer the public name
-_uniform_array = uniform_array
-
-
 def share_vector(
     values: np.ndarray, r: int, modulus: int, rng: np.random.Generator
 ) -> list[np.ndarray]:

@@ -1,7 +1,7 @@
 """Protocol layer: parties, cost accounting, PEOS execution, and attacks."""
 
+from ..costs import CostTracker, PartyCost, share_bytes
 from . import attacks, serialization
-from .channel import CostTracker, PartyCost, share_bytes
 from .parties import (
     Adversary,
     PEOSDeployment,

@@ -40,7 +40,7 @@ from ..crypto.math_utils import RandomLike, as_random
 from ..crypto.secret_sharing import share_vector
 from ..frequency_oracles.base import FrequencyOracle
 from ..shuffle.eos import EOSState, encrypted_oblivious_shuffle, server_reconstruct
-from ..costs import CostTracker, share_bytes
+from ..costs import CostTracker, metered, share_bytes
 
 
 @dataclass
@@ -88,18 +88,12 @@ def peos_shuffle_encoded(
     crypto_rand = as_random(crypto_rng)
 
     # ---- 1. users: share the encoded report, encrypt the last share -----
-    def _user_phase():
+    with metered(tracker, "user"):
         shares = share_vector(codec.asarray(encoded), r, modulus, rng)
         encrypted_last = [
             ahe_public.encrypt(int(s) % modulus, crypto_rand) for s in shares[r - 1]
         ]
-        return shares, encrypted_last
-
-    if tracker is None:
-        shares, encrypted_last = _user_phase()
-    else:
-        with tracker.compute("user"):
-            shares, encrypted_last = _user_phase()
+    if tracker is not None:
         for j in range(r - 1):
             tracker.send("user", f"shuffler:{j}", n * width)
         tracker.send("user", f"shuffler:{r - 1}", n * ahe_public.ciphertext_bytes)
@@ -107,31 +101,19 @@ def peos_shuffle_encoded(
     # ---- 2. shufflers draw shares of the fake reports --------------------
     plain_vectors: list[np.ndarray] = []
     for j in range(r - 1):
-        def _draw(j: int = j) -> np.ndarray:
+        with metered(tracker, f"shuffler:{j}"):
             fake = codec.uniform(n_fake, rng)
             if malicious_fake_shares and j in malicious_fake_shares:
                 fake = malicious_fake_shares[j](n_fake, fake)
-            return codec.concat(shares[j], fake)
+            plain_vectors.append(codec.concat(shares[j], fake))
 
-        if tracker is None:
-            plain_vectors.append(_draw())
-        else:
-            with tracker.compute(f"shuffler:{j}"):
-                plain_vectors.append(_draw())
-
-    def _draw_encrypted() -> list[int]:
+    with metered(tracker, f"shuffler:{r - 1}"):
         fake = codec.uniform(n_fake, rng)
         if malicious_fake_shares and (r - 1) in malicious_fake_shares:
             fake = malicious_fake_shares[r - 1](n_fake, fake)
-        return encrypted_last + [
+        encrypted_vector = encrypted_last + [
             ahe_public.encrypt(int(f) % modulus, crypto_rand) for f in fake
         ]
-
-    if tracker is None:
-        encrypted_vector = _draw_encrypted()
-    else:
-        with tracker.compute(f"shuffler:{r - 1}"):
-            encrypted_vector = _draw_encrypted()
 
     # The holder's plaintext slot is zero (its share arrived encrypted).
     total = n + n_fake
@@ -154,8 +136,8 @@ def peos_shuffle_encoded(
     )
 
     # ---- 4a. server reconstructs the shuffled multiset -------------------
-    def _reconstruct() -> np.ndarray:
-        return np.asarray(
+    with metered(tracker, "server"):
+        shuffled = np.asarray(
             server_reconstruct(
                 state,
                 modulus,
@@ -164,12 +146,6 @@ def peos_shuffle_encoded(
                 ciphertext_bytes=ahe_public.ciphertext_bytes,
             )
         )
-
-    if tracker is None:
-        shuffled = _reconstruct()
-    else:
-        with tracker.compute("server"):
-            shuffled = _reconstruct()
     return shuffled, state
 
 
@@ -201,8 +177,8 @@ def run_peos(
     n_fake:
         Total fake reports ``n_r`` injected by the shufflers.
     ahe_public / ahe_decrypt:
-        The server's AHE public key (Paillier or DGK) and decryption
-        callable.
+        The server's AHE public key (DGK, :mod:`repro.crypto.dgk`) and
+        decryption callable.
     malicious_fake_shares:
         Optional map ``shuffler index -> f(n_fake, honest_shares) -> shares``
         letting attack analyses replace a shuffler's fake-share vector with
@@ -216,14 +192,8 @@ def run_peos(
     crypto_rand = as_random(crypto_rng)
 
     # ---- 1a. users run the frequency oracle locally ----------------------
-    def _privatize() -> np.ndarray:
-        return fo.encode_reports(fo.privatize(values, rng))
-
-    if tracker is None:
-        encoded = _privatize()
-    else:
-        with tracker.compute("user"):
-            encoded = _privatize()
+    with metered(tracker, "user"):
+        encoded = fo.encode_reports(fo.privatize(values, rng))
 
     # ---- 1b-4a. share, inject fakes, EOS, reconstruct --------------------
     shuffled, state = peos_shuffle_encoded(
@@ -241,17 +211,11 @@ def run_peos(
     )
 
     # ---- 4b. server estimates and calibrates -----------------------------
-    def _estimate() -> np.ndarray:
+    with metered(tracker, "server"):
         decoded = fo.decode_reports(fo.ordinal_codec.asarray(shuffled))
         counts = fo.support_counts(decoded)
         raw = fo.estimate(counts, total)
-        return fo.calibrate_with_fakes(raw, n, n_fake)
-
-    if tracker is None:
-        estimates = _estimate()
-    else:
-        with tracker.compute("server"):
-            estimates = _estimate()
+        estimates = fo.calibrate_with_fakes(raw, n, n_fake)
 
     return PEOSResult(
         estimates=estimates,
@@ -260,13 +224,3 @@ def run_peos(
         n_users=n,
         n_fake=n_fake,
     )
-
-
-def concat_encoded(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
-    """Concatenate two encoded-report arrays in the group's codec dtype.
-
-    Backwards-compatible wrapper over
-    :meth:`repro.core.ordinal.OrdinalCodec.concat`, which is where the
-    int64-fast-path / object-fallback decision now lives.
-    """
-    return OrdinalCodec(modulus).concat(a, b)

@@ -32,12 +32,16 @@ import numpy as np
 
 from ..crypto.math_utils import RandomLike, as_random
 from ..crypto.secret_sharing import add_share_vectors, uniform_array
-from ..costs import CostTracker, share_bytes
+from ..costs import CostTracker, metered, share_bytes
 from .oblivious import ShuffleRound, ShuffleTranscript, hider_count, shuffle_rounds
 
 
 class AdditiveHomomorphicKey(Protocol):
-    """The AHE public-key interface EOS needs (Paillier and DGK satisfy it)."""
+    """The AHE public-key interface EOS needs.
+
+    :class:`repro.crypto.dgk.DGKPublicKey` implements it; tests substitute
+    proxies that count calls through it.
+    """
 
     @property
     def plaintext_space(self) -> int: ...
@@ -160,14 +164,6 @@ def encrypted_oblivious_shuffle(
         if tracker is not None and src != dst:
             tracker.send(f"{party_prefix}:{src}", f"{party_prefix}:{dst}", n_bytes)
 
-    def compute(party: int):
-        """Attribute a block's wall time to one shuffler (no-op untracked)."""
-        if tracker is None:
-            from contextlib import nullcontext
-
-            return nullcontext()
-        return tracker.compute(f"{party_prefix}:{party}")
-
     def split_encrypted(
         source: int, plain_vector: np.ndarray, destinations: Sequence[int]
     ) -> tuple[dict[int, np.ndarray], int]:
@@ -184,7 +180,7 @@ def encrypted_oblivious_shuffle(
         destinations = list(destinations)
         cipher_dst = destinations[int(rng.integers(len(destinations)))]
         plain_dsts = [dst for dst in destinations if dst != cipher_dst]
-        with compute(source):
+        with metered(tracker, f"{party_prefix}:{source}"):
             pieces = {dst: uniform_array(modulus, n, rng) for dst in plain_dsts}
             corrections = _zeros(n, modulus)
             for piece in pieces.values():
@@ -215,7 +211,7 @@ def encrypted_oblivious_shuffle(
             else:
                 from ..crypto.secret_sharing import share_vector
 
-                with compute(s):
+                with metered(tracker, f"{party_prefix}:{s}"):
                     parts = share_vector(vectors[s], t, modulus, rng)
                 for h, part in zip(hiders, parts):
                     incoming[h].append(part)
@@ -225,7 +221,7 @@ def encrypted_oblivious_shuffle(
         # 2. Hiders accumulate; the holder folds plaintext into ciphertext.
         permutation = rng.permutation(n)
         for h in hiders:
-            with compute(h):
+            with metered(tracker, f"{party_prefix}:{h}"):
                 accumulated = vectors[h]
                 for part in incoming[h]:
                     accumulated = add_share_vectors(accumulated, part, modulus)
@@ -259,7 +255,7 @@ def encrypted_oblivious_shuffle(
             else:
                 from ..crypto.secret_sharing import share_vector
 
-                with compute(h):
+                with metered(tracker, f"{party_prefix}:{h}"):
                     parts = share_vector(vectors[h], r, modulus, rng)
                 for j, part in enumerate(parts):
                     fresh[j] = add_share_vectors(fresh[j], part, modulus)

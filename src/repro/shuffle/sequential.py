@@ -28,7 +28,7 @@ import numpy as np
 from ..crypto import elgamal_ec, onion
 from ..crypto.math_utils import RandomLike, as_random
 from ..crypto.onion import OnionCiphertext
-from ..costs import CostTracker
+from ..costs import CostTracker, metered
 
 
 @dataclass
@@ -117,15 +117,11 @@ def sequential_shuffle(
     batch: list[OnionCiphertext] = []
     all_inputs = list(reports) + list(spot_check_reports)
     for report in all_inputs:
-        if tracker is None:
+        with metered(tracker, "user"):
             wrapped = onion.wrap(
                 _encode_payload(report, width), keys.public_chain, crypto_rand
             )
-        else:
-            with tracker.compute("user"):
-                wrapped = onion.wrap(
-                    _encode_payload(report, width), keys.public_chain, crypto_rand
-                )
+        if tracker is not None:
             tracker.send("user", "shuffler:0", wrapped.size_bytes)
         batch.append(wrapped)
 
@@ -135,8 +131,7 @@ def sequential_shuffle(
         remaining_keys = [kp.public for kp in keys.shufflers[j + 1:]] + [
             keys.server.public
         ]
-
-        def _process() -> list[OnionCiphertext]:
+        with metered(tracker, party):
             peeled = [onion.peel(msg, keys.shufflers[j].private)[1] for msg in batch]
             for _ in range(fakes_per_shuffler[j]):
                 fake = int(rng.integers(0, report_space))
@@ -146,13 +141,7 @@ def sequential_shuffle(
                     )
                 )
             order = rng.permutation(len(peeled))
-            return [peeled[i] for i in order]
-
-        if tracker is None:
-            batch = _process()
-        else:
-            with tracker.compute(party):
-                batch = _process()
+            batch = [peeled[i] for i in order]
         if shuffler_tamper is not None:
             batch = shuffler_tamper(j, batch)
         if tracker is not None:
@@ -161,18 +150,14 @@ def sequential_shuffle(
                 tracker.send(party, destination, msg.size_bytes)
 
     # --- server peels the last layer and decodes -------------------------
-    def _finalize() -> np.ndarray:
+    with metered(tracker, "server"):
         decoded = []
         for msg in batch:
             payload, _ = onion.peel(msg, keys.server.private)
             decoded.append(_decode_payload(payload))
-        return np.array(decoded, dtype=np.int64 if report_space < (1 << 62) else object)
-
-    if tracker is None:
-        final_reports = _finalize()
-    else:
-        with tracker.compute("server"):
-            final_reports = _finalize()
+        final_reports = np.array(
+            decoded, dtype=np.int64 if report_space < (1 << 62) else object
+        )
 
     # Spot check: every planted report must appear at least as many times
     # as planted (multiset containment).

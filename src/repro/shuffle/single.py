@@ -19,7 +19,7 @@ import numpy as np
 
 from ..crypto import elgamal_ec
 from ..crypto.math_utils import RandomLike, as_random
-from ..costs import CostTracker
+from ..costs import CostTracker, metered
 
 
 @dataclass
@@ -49,11 +49,9 @@ def single_shuffle(
     ciphertexts = []
     for report in reports:
         payload = int(report).to_bytes(width, "big")
-        if tracker is None:
+        with metered(tracker, "user"):
             ct = elgamal_ec.encrypt(payload, server_keypair.public, crypto_rand)
-        else:
-            with tracker.compute("user"):
-                ct = elgamal_ec.encrypt(payload, server_keypair.public, crypto_rand)
+        if tracker is not None:
             tracker.send("user", "shuffler:0", ct.size_bytes)
         ciphertexts.append(ct)
 
@@ -63,18 +61,12 @@ def single_shuffle(
         for ct in shuffled:
             tracker.send("shuffler:0", "server", ct.size_bytes)
 
-    def _decrypt_all() -> np.ndarray:
-        decoded = [
-            int.from_bytes(elgamal_ec.decrypt(ct, server_keypair.private), "big")
-            for ct in shuffled
-        ]
-        return np.array(
-            decoded, dtype=np.int64 if report_space < (1 << 62) else object
+    with metered(tracker, "server"):
+        decoded = np.array(
+            [
+                int.from_bytes(elgamal_ec.decrypt(ct, server_keypair.private), "big")
+                for ct in shuffled
+            ],
+            dtype=np.int64 if report_space < (1 << 62) else object,
         )
-
-    if tracker is None:
-        decoded = _decrypt_all()
-    else:
-        with tracker.compute("server"):
-            decoded = _decrypt_all()
     return SingleShuffleResult(reports=decoded, permutation=permutation)

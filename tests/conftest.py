@@ -19,11 +19,19 @@ def small_histogram(rng):
 
 
 @pytest.fixture(scope="session")
-def paillier_keys():
-    """Session-scoped small Paillier keypair (keygen is not free)."""
-    from repro.crypto import paillier
+def wide_dgk_keys():
+    """Session-scoped DGK keypair with 64-bit plaintexts.
 
-    return paillier.generate_keypair(key_bits=512, rng=2024)
+    ``Z_{2^64}`` carries every report space the PEOS tests use: a power
+    of two up to 2^64 wraps natively (GRR d = 4 or 8, Hadamard 16, EOS
+    over 2^32, SOLH d' = 4 over 32-bit seeds), and the others (GRR d = 6
+    or 10, SOLH over 32-bit seeds with a d' <= 16 that is no power of two)
+    ride EOS's headroom bound.  The l = 32 ``dgk_keys`` cannot stand in:
+    a SOLH report space over 32-bit seeds is ``2^32 d'``.
+    """
+    from repro.crypto import dgk
+
+    return dgk.generate_keypair(l=64, key_bits=640, subgroup_bits=96, rng=2024)
 
 
 @pytest.fixture(scope="session")

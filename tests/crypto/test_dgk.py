@@ -106,6 +106,28 @@ class TestParameters:
         with pytest.raises(ValueError):
             dgk.generate_keypair(l=0, key_bits=512, subgroup_bits=80, rng=1)
 
+    def test_deterministic_keygen(self):
+        """A fixed seed gives a fixed key (the PEOS backend's ``crypto_rng``
+        and peos-secure's set-up rely on it)."""
+        a = dgk.generate_keypair(l=3, key_bits=512, rng=7)
+        b = dgk.generate_keypair(l=3, key_bits=512, rng=7)
+        assert (a[0].n, a[0].g, a[0].h) == (b[0].n, b[0].g, b[0].h)
+        assert (a[1].p, a[1].v_p) == (b[1].p, b[1].v_p)
+
+    def test_ciphertext_bytes(self, keys16):
+        """Table III's unit: a ciphertext is |N| bytes."""
+        pub, __ = keys16
+        assert pub.ciphertext_bytes == (pub.n.bit_length() + 7) // 8
+
+    @pytest.mark.parametrize("l, key_bits", [(3, 358), (3, 512), (64, 640)])
+    def test_modulus_size(self, l, key_bits):
+        """Each prime has exactly ``key_bits / 2`` bits, so N has
+        ``key_bits - 1`` or ``key_bits``."""
+        for seed in range(5):
+            pub, priv = dgk.generate_keypair(l=l, key_bits=key_bits, rng=seed)
+            assert priv.p.bit_length() == key_bits // 2
+            assert pub.n.bit_length() in (key_bits - 1, key_bits)
+
 
 class TestFixedBaseTables:
     """The window tables are exact: they only precompute ``pow``."""

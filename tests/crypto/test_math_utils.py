@@ -36,10 +36,6 @@ class TestEgcdInvmod:
         if math.gcd(a, m) == 1:
             assert a * mu.invmod(a, m) % m == 1
 
-    def test_lcm(self):
-        assert mu.lcm(4, 6) == 12
-        assert mu.lcm(7, 13) == 91
-
 
 class TestPrimality:
     KNOWN_PRIMES = [2, 3, 5, 17, 97, 7919, 104729, (1 << 31) - 1, (1 << 61) - 1]
@@ -105,25 +101,6 @@ class TestCRT:
 
 
 class TestHelpers:
-    def test_random_below_range(self):
-        for _ in range(50):
-            assert 0 <= mu.random_below(17, rng=None) < 17
-
-    def test_random_coprime(self):
-        value = mu.random_coprime(100, rng=9)
-        assert math.gcd(value, 100) == 1
-
-    def test_int_bytes_roundtrip(self):
-        for v in (0, 1, 255, 256, 123456789):
-            assert mu.bytes_to_int(mu.int_to_bytes(v)) == v
-
-    def test_int_to_bytes_fixed_length(self):
-        assert len(mu.int_to_bytes(5, 8)) == 8
-
-    def test_int_to_bytes_rejects_negative(self):
-        with pytest.raises(ValueError):
-            mu.int_to_bytes(-1)
-
     def test_as_random_coercions(self):
         import random
 

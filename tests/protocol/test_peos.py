@@ -16,8 +16,8 @@ def grr_oracle():
 
 
 class TestCorrectness:
-    def test_report_count(self, rng, grr_oracle, paillier_keys):
-        pub, priv = paillier_keys
+    def test_report_count(self, rng, grr_oracle, wide_dgk_keys):
+        pub, priv = wide_dgk_keys
         values = rng.integers(0, 8, 60)
         result = run_peos(
             values, grr_oracle, r=3, n_fake=15, ahe_public=pub,
@@ -26,8 +26,8 @@ class TestCorrectness:
         assert len(result.shuffled_reports) == 75
         assert result.n_users == 60 and result.n_fake == 15
 
-    def test_grr_estimates_reasonable(self, rng, paillier_keys):
-        pub, priv = paillier_keys
+    def test_grr_estimates_reasonable(self, rng, wide_dgk_keys):
+        pub, priv = wide_dgk_keys
         fo = GRR(4, 6.0)  # low noise for a small-n statistical check
         values = np.array([0] * 200 + [1] * 100 + [2] * 60 + [3] * 40)
         rng.shuffle(values)
@@ -38,8 +38,8 @@ class TestCorrectness:
         truth = np.array([0.5, 0.25, 0.15, 0.10])
         assert result.estimates == pytest.approx(truth, abs=0.12)
 
-    def test_estimates_sum_to_one_grr(self, rng, grr_oracle, paillier_keys):
-        pub, priv = paillier_keys
+    def test_estimates_sum_to_one_grr(self, rng, grr_oracle, wide_dgk_keys):
+        pub, priv = wide_dgk_keys
         values = rng.integers(0, 8, 100)
         result = run_peos(
             values, grr_oracle, r=3, n_fake=20, ahe_public=pub,
@@ -47,8 +47,8 @@ class TestCorrectness:
         )
         assert result.estimates.sum() == pytest.approx(1.0)
 
-    def test_solh_works(self, rng, paillier_keys):
-        pub, priv = paillier_keys
+    def test_solh_works(self, rng, wide_dgk_keys):
+        pub, priv = wide_dgk_keys
         fo = SOLH(8, 4.0, 4, family=XXHash32Family())
         values = np.array([0] * 150 + [5] * 50)
         rng.shuffle(values)
@@ -59,8 +59,8 @@ class TestCorrectness:
         assert result.estimates[0] > result.estimates[1]
         assert result.estimates[0] == pytest.approx(0.75, abs=0.25)
 
-    def test_hadamard_works(self, rng, paillier_keys):
-        pub, priv = paillier_keys
+    def test_hadamard_works(self, rng, wide_dgk_keys):
+        pub, priv = wide_dgk_keys
         fo = HadamardResponse(6, 5.0)
         values = np.array([2] * 120 + [4] * 40)
         rng.shuffle(values)
@@ -83,8 +83,8 @@ class TestCorrectness:
         )
         assert np.argmax(result.estimates) == 1
 
-    def test_rejects_single_shuffler(self, rng, grr_oracle, paillier_keys):
-        pub, priv = paillier_keys
+    def test_rejects_single_shuffler(self, rng, grr_oracle, wide_dgk_keys):
+        pub, priv = wide_dgk_keys
         with pytest.raises(ValueError):
             run_peos(
                 [1, 2], grr_oracle, r=1, n_fake=0, ahe_public=pub,
@@ -93,8 +93,8 @@ class TestCorrectness:
 
 
 class TestFakeReports:
-    def test_fakes_present_in_multiset(self, rng, grr_oracle, paillier_keys):
-        pub, priv = paillier_keys
+    def test_fakes_present_in_multiset(self, rng, grr_oracle, wide_dgk_keys):
+        pub, priv = wide_dgk_keys
         values = rng.integers(0, 8, 30)
         result = run_peos(
             values, grr_oracle, r=3, n_fake=50, ahe_public=pub,
@@ -102,8 +102,8 @@ class TestFakeReports:
         )
         assert len(result.shuffled_reports) == 80
 
-    def test_no_fakes_allowed(self, rng, grr_oracle, paillier_keys):
-        pub, priv = paillier_keys
+    def test_no_fakes_allowed(self, rng, grr_oracle, wide_dgk_keys):
+        pub, priv = wide_dgk_keys
         values = rng.integers(0, 8, 30)
         result = run_peos(
             values, grr_oracle, r=3, n_fake=0, ahe_public=pub,
@@ -111,10 +111,10 @@ class TestFakeReports:
         )
         assert len(result.shuffled_reports) == 30
 
-    def test_malicious_minority_cannot_skew_fakes(self, rng, paillier_keys):
+    def test_malicious_minority_cannot_skew_fakes(self, rng, wide_dgk_keys):
         """One honest shuffler's uniform share masks the biased ones: the
         reconstructed fake reports stay (close to) uniform."""
-        pub, priv = paillier_keys
+        pub, priv = wide_dgk_keys
         fo = GRR(8, 3.0)
         result = run_peos(
             [], fo, r=3, n_fake=600, ahe_public=pub,
@@ -132,8 +132,8 @@ class TestFakeReports:
 
 
 class TestCosts:
-    def test_cost_table_complete(self, rng, grr_oracle, paillier_keys):
-        pub, priv = paillier_keys
+    def test_cost_table_complete(self, rng, grr_oracle, wide_dgk_keys):
+        pub, priv = wide_dgk_keys
         tracker = CostTracker()
         run_peos(
             rng.integers(0, 8, 40), grr_oracle, r=3, n_fake=10, ahe_public=pub,
@@ -146,8 +146,8 @@ class TestCosts:
         assert tracker.cost("server").bytes_received > 0
         assert tracker.cost("server").compute_seconds > 0
 
-    def test_user_sends_one_ciphertext(self, rng, grr_oracle, paillier_keys):
-        pub, priv = paillier_keys
+    def test_user_sends_one_ciphertext(self, rng, grr_oracle, wide_dgk_keys):
+        pub, priv = wide_dgk_keys
         tracker = CostTracker()
         n = 25
         run_peos(

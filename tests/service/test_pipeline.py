@@ -225,7 +225,7 @@ class TestBackends:
         assert pipeline.aggregate().total_reports == 30 + 20
         assert np.isfinite(pipeline.estimates()).all()
 
-    def test_peos_backend(self, rng, paillier_keys):
+    def test_peos_backend(self, rng, wide_dgk_keys):
         config = small_config(
             admitted_flushes=4,
             flush_size=20,
@@ -234,7 +234,7 @@ class TestBackends:
         )
         backend = make_backend("peos", r=2, crypto_rng=5)
         # Reuse the session keypair instead of generating a fresh one.
-        public, private = paillier_keys
+        public, private = wide_dgk_keys
         backend._public = public
         backend._decrypt = private.decrypt
         pipeline = TelemetryPipeline(config, rng, backend=backend)
@@ -244,9 +244,10 @@ class TestBackends:
         assert pipeline.aggregate().total_reports == 30
         assert np.isfinite(pipeline.estimates()).all()
 
-    def test_peos_ahe_never_moves_an_estimate(self, paillier_keys):
-        """The default DGK key and an injected Paillier key draw only
-        from ``crypto_rng``, so epoch logs and releases are identical."""
+    def test_peos_ahe_never_moves_an_estimate(self, wide_dgk_keys):
+        """The backend's own minimal DGK key (l = 3) and an injected
+        l = 64 one draw only from ``crypto_rng``, so epoch logs and
+        releases are identical."""
         config = small_config(
             admitted_flushes=4,
             flush_size=20,
@@ -255,7 +256,7 @@ class TestBackends:
             keep_reports=True,
         )
         runs = []
-        for keys in (None, paillier_keys):
+        for keys in (None, wide_dgk_keys):
             rng = np.random.default_rng(99)
             pipeline = TelemetryPipeline(
                 config, rng, backend=peos_backend(2, keys)
@@ -264,16 +265,16 @@ class TestBackends:
                 pipeline.submit(rng.integers(0, 8, 30))
                 pipeline.end_epoch()
             runs.append(pipeline)
-        dgk_run, paillier_run = runs
-        assert dgk_run.backend._public.plaintext_space == 8
+        own_run, injected_run = runs
+        assert own_run.backend._public.plaintext_space == 8
         logs = [
             [(epoch, row.tobytes()) for epoch, row in run.store.epoch_log()]
             for run in runs
         ]
         assert len(logs[0]) == 2 and logs[0] == logs[1]
-        assert len(dgk_run.released_batches) == 3
+        assert len(own_run.released_batches) == 3
         for ours, theirs in zip(
-            dgk_run.released_batches, paillier_run.released_batches, strict=True
+            own_run.released_batches, injected_run.released_batches, strict=True
         ):
             assert ours.tobytes() == theirs.tobytes()
 
@@ -309,13 +310,14 @@ class TestBackends:
         assert first.end_epoch().n_reports == 20
         assert first.aggregate().total_reports == 30
 
-    def test_peos_headroom_key_for_a_non_power_of_two_space(self, paillier_keys):
+    def test_peos_headroom_key_for_a_non_power_of_two_space(self, wide_dgk_keys):
         """GRR d = 10: 2^l is no multiple of M, so EOS relies on its
-        headroom bound, and the release equals the Paillier one."""
+        headroom bound, and the release equals the injected l = 64
+        key's."""
         fo = GRR(10, 2.0)
         encoded = np.arange(10, dtype=np.int64).repeat(2)
         releases = []
-        for keys in (None, paillier_keys):
+        for keys in (None, wide_dgk_keys):
             backend = peos_backend(3, keys)
             backend.prepare(fo, np.random.default_rng(0))
             releases.append(
@@ -323,10 +325,10 @@ class TestBackends:
             )
             if keys is None:
                 assert backend._public.plaintext_space % 10 != 0
-        dgk_release, paillier_release = releases
-        assert len(dgk_release) == 27
-        assert not Counter(encoded.tolist()) - Counter(dgk_release.tolist())
-        assert dgk_release.tolist() == paillier_release.tolist()
+        own_release, injected_release = releases
+        assert len(own_release) == 27
+        assert not Counter(encoded.tolist()) - Counter(own_release.tolist())
+        assert own_release.tolist() == injected_release.tolist()
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Encrypted oblivious shuffle: correctness across AHE schemes and r."""
+"""Encrypted oblivious shuffle over DGK: correctness across r and key widths."""
 
 import numpy as np
 import pytest
@@ -31,20 +31,22 @@ def _run_eos(pub, decrypt, r, n, rng, tracker=None):
     return values, reconstructed, state
 
 
-class TestPaillierBackend:
+class TestWideDGKBackend:
+    """A 2^64 plaintext space over M = 2^32: sums wrap at a multiple of M."""
+
     @pytest.mark.parametrize("r", [2, 3, 4])
-    def test_multiset_preserved(self, rng, paillier_keys, r):
-        pub, priv = paillier_keys
+    def test_multiset_preserved(self, rng, wide_dgk_keys, r):
+        pub, priv = wide_dgk_keys
         values, rec, __ = _run_eos(pub, priv.decrypt, r, 25, rng)
         assert sorted(rec.tolist()) == sorted(values.tolist())
 
-    def test_net_permutation_consistent(self, rng, paillier_keys):
-        pub, priv = paillier_keys
+    def test_net_permutation_consistent(self, rng, wide_dgk_keys):
+        pub, priv = wide_dgk_keys
         values, rec, state = _run_eos(pub, priv.decrypt, 3, 30, rng)
         assert (values[state.transcript.net_permutation] == rec).all()
 
-    def test_holder_moves(self, rng, paillier_keys):
-        pub, priv = paillier_keys
+    def test_holder_moves(self, rng, wide_dgk_keys):
+        pub, priv = wide_dgk_keys
         holders = set()
         for seed in range(5):
             local_rng = np.random.default_rng(seed)
@@ -52,8 +54,8 @@ class TestPaillierBackend:
             holders.add(state.holder)
         assert len(holders) > 1  # the ciphertext share travels
 
-    def test_ciphertexts_rerandomized(self, rng, paillier_keys):
-        pub, priv = paillier_keys
+    def test_ciphertexts_rerandomized(self, rng, wide_dgk_keys):
+        pub, priv = wide_dgk_keys
         values = np.zeros(5, dtype=np.int64)
         shares = share_vector(values, 3, M, rng)
         encrypted = [pub.encrypt(int(s), 50 + i) for i, s in enumerate(shares[2])]
@@ -68,8 +70,8 @@ class TestPaillierBackend:
 class TestNoRerandomization:
     """The paper's cost model: corrections only, no fresh blinding."""
 
-    def test_multiset_still_preserved(self, rng, paillier_keys):
-        pub, priv = paillier_keys
+    def test_multiset_still_preserved(self, rng, wide_dgk_keys):
+        pub, priv = wide_dgk_keys
         values = rng.integers(0, M, 20, dtype=np.int64)
         shares = share_vector(values, 3, M, rng)
         encrypted = [pub.encrypt(int(s), 9 + i) for i, s in enumerate(shares[2])]
@@ -80,10 +82,10 @@ class TestNoRerandomization:
         rec = np.asarray(server_reconstruct(state, M, priv.decrypt))
         assert sorted(rec.tolist()) == sorted(values.tolist())
 
-    def test_corrections_still_unlink(self, rng, paillier_keys):
+    def test_corrections_still_unlink(self, rng, wide_dgk_keys):
         """Even without blinding, the secret correction changes every
         ciphertext at each hop."""
-        pub, priv = paillier_keys
+        pub, priv = wide_dgk_keys
         values = np.zeros(6, dtype=np.int64)
         shares = share_vector(values, 3, M, rng)
         encrypted = [pub.encrypt(int(s), 40 + i) for i, s in enumerate(shares[2])]
@@ -177,16 +179,16 @@ class TestDGKBackend:
 
 
 class TestValidation:
-    def test_rejects_bad_holder(self, rng, paillier_keys):
-        pub, __ = paillier_keys
+    def test_rejects_bad_holder(self, rng, wide_dgk_keys):
+        pub, __ = wide_dgk_keys
         with pytest.raises(ValueError):
             encrypted_oblivious_shuffle(
                 [np.zeros(3, dtype=np.int64)] * 2, [1, 2, 3], holder=5,
                 modulus=M, ahe=pub, rng=rng,
             )
 
-    def test_rejects_length_mismatch(self, rng, paillier_keys):
-        pub, __ = paillier_keys
+    def test_rejects_length_mismatch(self, rng, wide_dgk_keys):
+        pub, __ = wide_dgk_keys
         with pytest.raises(ValueError):
             encrypted_oblivious_shuffle(
                 [np.zeros(3, dtype=np.int64), np.zeros(4, dtype=np.int64)],
@@ -195,15 +197,15 @@ class TestValidation:
 
 
 class TestCostAccounting:
-    def test_holder_pays_ciphertext_bandwidth(self, rng, paillier_keys):
-        pub, priv = paillier_keys
+    def test_holder_pays_ciphertext_bandwidth(self, rng, wide_dgk_keys):
+        pub, priv = wide_dgk_keys
         tracker = CostTracker()
         _run_eos(pub, priv.decrypt, 3, 10, rng, tracker=tracker)
         group = tracker.group_cost("shuffler")
         assert group.bytes_sent > 10 * pub.ciphertext_bytes  # ciphertext hops
 
-    def test_server_receives_everything(self, rng, paillier_keys):
-        pub, priv = paillier_keys
+    def test_server_receives_everything(self, rng, wide_dgk_keys):
+        pub, priv = wide_dgk_keys
         tracker = CostTracker()
         _run_eos(pub, priv.decrypt, 3, 10, rng, tracker=tracker)
         assert tracker.cost("server").bytes_received > 0

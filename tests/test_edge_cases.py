@@ -56,8 +56,8 @@ class TestTinyPopulations:
         plan = plan_peos(2.0, 4.0, 8.0, 5000, 4, 1e-9)
         assert plan.eps_server <= 2.0 * (1 + 1e-6)
 
-    def test_peos_more_fakes_than_users(self, rng, paillier_keys):
-        pub, priv = paillier_keys
+    def test_peos_more_fakes_than_users(self, rng, wide_dgk_keys):
+        pub, priv = wide_dgk_keys
         fo = GRR(4, 4.0)
         result = run_peos(
             rng.integers(0, 4, 10), fo, r=3, n_fake=50, ahe_public=pub,

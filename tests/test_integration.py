@@ -16,8 +16,8 @@ from repro.shuffle import encrypted_oblivious_shuffle, oblivious_shuffle, server
 class TestPlanToProtocol:
     """The full deployment story: Section VI-D plan feeds Algorithm 1."""
 
-    def test_planned_deployment_end_to_end(self, rng, paillier_keys):
-        pub, priv = paillier_keys
+    def test_planned_deployment_end_to_end(self, rng, wide_dgk_keys):
+        pub, priv = wide_dgk_keys
         n, d, delta = 300, 8, 1e-9
         # Targets loose enough to be feasible at this demo n.
         plan = plan_peos(3.0, 6.0, 8.0, n, d, delta, max_fake_factor=2.0)
@@ -56,10 +56,10 @@ class TestPlanToProtocol:
 
 
 class TestEndToEndAccuracy:
-    def test_peos_estimate_close_to_plain_fo(self, rng, paillier_keys):
+    def test_peos_estimate_close_to_plain_fo(self, rng, wide_dgk_keys):
         """The crypto pipeline must not change the statistics: PEOS with
         n_fake=0 behaves exactly like the bare frequency oracle."""
-        pub, priv = paillier_keys
+        pub, priv = wide_dgk_keys
         d, n = 6, 500
         fo = GRR(d, 8.0)  # low noise isolates pipeline errors
         values = rng.integers(0, d, n)
@@ -94,8 +94,8 @@ def test_oblivious_shuffle_multiset_property(r, n, modulus):
 class TestEOSPropertySmall:
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
     @pytest.mark.parametrize("modulus", [2**8, 2**16])
-    def test_multiset_across_shapes(self, rng, paillier_keys, r, modulus):
-        pub, priv = paillier_keys
+    def test_multiset_across_shapes(self, rng, wide_dgk_keys, r, modulus):
+        pub, priv = wide_dgk_keys
         values = rng.integers(0, modulus, 8, dtype=np.int64)
         shares = share_vector(values, r, modulus, rng)
         encrypted = [pub.encrypt(int(s), 77 + i) for i, s in enumerate(shares[-1])]
