@@ -81,16 +81,20 @@ class CostTracker:
         return total
 
     def max_cost(self, prefix: str) -> PartyCost:
-        """Per-party maximum over a group — Table III reports *per shuffler*
-        numbers, i.e. the cost of one (the busiest) shuffler."""
-        best = PartyCost()
-        for name, cost in self.parties.items():
-            if name.startswith(prefix):
-                if cost.bytes_sent + cost.bytes_received > (
-                    best.bytes_sent + best.bytes_received
-                ):
-                    best = cost
-        return best
+        """Field-wise maximum over a group — Table III reports *per
+        shuffler* numbers: bytes sent, bytes received and compute each
+        come from the shuffler busiest in that field, which need not be
+        one and the same shuffler."""
+        group = [
+            cost for name, cost in self.parties.items() if name.startswith(prefix)
+        ]
+        return PartyCost(
+            bytes_sent=max((cost.bytes_sent for cost in group), default=0),
+            bytes_received=max((cost.bytes_received for cost in group), default=0),
+            compute_seconds=max(
+                (cost.compute_seconds for cost in group), default=0.0
+            ),
+        )
 
     def scaled(self, factor: float) -> "CostTracker":
         """Rescale every party's cost (per-report-linear extrapolation)."""

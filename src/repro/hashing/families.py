@@ -90,32 +90,37 @@ def _mod_mersenne31(values: np.ndarray) -> np.ndarray:
     return np.where(values >= prime, values - prime, values)
 
 
-def _mod_d_out_u32(
+def _mod_d_out(
     hashes: np.ndarray, d_out: int, scratch: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Reduce uint32 hashes into ``[0, d_out)`` without leaving uint32.
+    """Reduce unsigned hashes into ``[0, d_out)`` in their own dtype.
 
-    For ``d_out >= 2^32`` the reduction is the identity (hashes are already
-    below ``d_out``), which sidesteps an impossible uint32 modulus.  A
-    power-of-two ``d_out`` keeps the low bits with one ``bitwise_and``.
+    ``hashes`` is uint32 (xxHash32, Carter-Wegman's Mersenne-reduced
+    values) or uint64 (multiply-shift's mixes).  When ``d_out`` exceeds
+    the dtype's range the reduction is the identity (hashes are already
+    below ``d_out``), which sidesteps an impossible modulus: a uint32
+    hash needs none for ``d_out >= 2^32``, but a uint64 hash still
+    does.  A power-of-two ``d_out`` keeps the low bits with one
+    ``bitwise_and``.
 
     Otherwise the remainder is formed as ``h - (h // d) * d``: numpy
-    divides a uint32 array by a scalar through libdivide (a multiply and
-    shift), so the three passes cost about a quarter of
+    divides an unsigned array by a scalar through libdivide (a multiply
+    and shift), so the three passes cost about a quarter of
     ``np.remainder``'s hardware division on large arrays.  It is exact,
     since ``(h // d) * d <= h`` never wraps.
 
-    With ``scratch`` (a uint32 array of ``hashes``' shape) the reduction
-    runs in place: ``hashes`` is overwritten and returned, and nothing is
-    allocated.  Without it, ``hashes`` is left as it was.
+    With ``scratch`` (an array of ``hashes``' dtype and shape) the
+    reduction runs in place: ``hashes`` is overwritten and returned, and
+    nothing is allocated.  Without it, ``hashes`` is left as it was.
     """
-    if d_out >= (1 << 32):
+    if d_out >> (8 * hashes.itemsize):
         return hashes
     in_place = scratch is not None
+    as_dtype = hashes.dtype.type
     if d_out & (d_out - 1) == 0:
-        low_bits = np.uint32(d_out - 1)
+        low_bits = as_dtype(d_out - 1)
         return np.bitwise_and(hashes, low_bits, out=hashes if in_place else None)
-    divisor = np.uint32(d_out)
+    divisor = as_dtype(d_out)
     quotient = np.floor_divide(hashes, divisor, out=scratch)
     quotient *= divisor
     # Into hashes when in place, otherwise into the fresh quotient.
@@ -271,7 +276,7 @@ class CarterWegmanHashFamily(HashFamily):
         values = self._check_domain(values)
         with np.errstate(over="ignore"):
             mixed = values * np.uint64(a) + np.uint64(b)
-        return (_mod_mersenne31(mixed) % np.uint64(d_out)).astype(np.int64)
+        return self._reduce(mixed, d_out).astype(np.int64)
 
     def hash_outer(
         self, seeds: np.ndarray, values: ArrayLike, d_out: int
@@ -285,10 +290,7 @@ class CarterWegmanHashFamily(HashFamily):
         values = self._check_domain(values)
         with np.errstate(over="ignore"):
             mixed = a[:, None] * values[None, :] + b[:, None]
-        # Mersenne-reduced values are below p < 2^31, so the uint32
-        # narrowing is lossless and the [0, d_out) step can take the
-        # libdivide reduction instead of a uint64 division per hash.
-        return _mod_d_out_u32(_mod_mersenne31(mixed).astype(np.uint32), d_out)
+        return self._reduce(mixed, d_out)
 
     def hash_pairwise(
         self, seeds: np.ndarray, values: ArrayLike, d_out: int
@@ -297,7 +299,15 @@ class CarterWegmanHashFamily(HashFamily):
         values = self._check_domain(values)
         with np.errstate(over="ignore"):
             mixed = a * values + b
-        return (_mod_mersenne31(mixed) % np.uint64(d_out)).astype(np.int64)
+        return self._reduce(mixed, d_out).astype(np.int64)
+
+    @staticmethod
+    def _reduce(mixed: np.ndarray, d_out: int) -> np.ndarray:
+        """``(mixed mod p) mod d_out`` as uint32.  Mersenne-reduced values
+        are below p < 2^31, so the uint32 narrowing is lossless and the
+        ``[0, d_out)`` step takes the libdivide reduction instead of a
+        uint64 division per hash."""
+        return _mod_d_out(_mod_mersenne31(mixed).astype(np.uint32), d_out)
 
 
 class MultiplyShiftHashFamily(HashFamily):
@@ -319,7 +329,7 @@ class MultiplyShiftHashFamily(HashFamily):
         values = np.asarray(values, dtype=np.uint64)
         with np.errstate(over="ignore"):
             mixed = _splitmix64_np(values * np.uint64(self._C) ^ np.uint64(seed))
-        return (mixed % np.uint64(d_out)).astype(np.int64)
+        return _mod_d_out(mixed, d_out).astype(np.int64)
 
     def _mixed_outer(self, seeds: np.ndarray, values: ArrayLike) -> np.ndarray:
         """The outer mixing matrix — the single copy of the mixer math."""
@@ -333,16 +343,12 @@ class MultiplyShiftHashFamily(HashFamily):
     def hash_outer(
         self, seeds: np.ndarray, values: ArrayLike, d_out: int
     ) -> np.ndarray:
-        return (self._mixed_outer(seeds, values) % np.uint64(d_out)).astype(
-            np.int64
-        )
+        return _mod_d_out(self._mixed_outer(seeds, values), d_out).astype(np.int64)
 
     def hash_outer_u32(
         self, seeds: np.ndarray, values: ArrayLike, d_out: int
     ) -> np.ndarray:
-        return (self._mixed_outer(seeds, values) % np.uint64(d_out)).astype(
-            np.uint32
-        )
+        return _mod_d_out(self._mixed_outer(seeds, values), d_out).astype(np.uint32)
 
     def hash_pairwise(
         self, seeds: np.ndarray, values: ArrayLike, d_out: int
@@ -351,7 +357,7 @@ class MultiplyShiftHashFamily(HashFamily):
         values = np.asarray(values, dtype=np.uint64)
         with np.errstate(over="ignore"):
             mixed = _splitmix64_np(values * np.uint64(self._C) ^ seeds)
-        return (mixed % np.uint64(d_out)).astype(np.int64)
+        return _mod_d_out(mixed, d_out).astype(np.int64)
 
 
 class XXHash32Family(HashFamily):
@@ -376,7 +382,7 @@ class XXHash32Family(HashFamily):
 
     def hash_values(self, seed: int, values: ArrayLike, d_out: int) -> np.ndarray:
         hashes = xxhash32_int_array(np.asarray(values), np.uint64(seed & _MASK64))
-        return _mod_d_out_u32(hashes, d_out).astype(np.int64)
+        return _mod_d_out(hashes, d_out).astype(np.int64)
 
     def hash_outer(
         self, seeds: np.ndarray, values: ArrayLike, d_out: int
@@ -389,7 +395,7 @@ class XXHash32Family(HashFamily):
         seeds = np.asarray(seeds, dtype=np.uint64)
         values = np.asarray(values)
         hashes = xxhash32_int_array(values[None, :], seeds[:, None])
-        return _mod_d_out_u32(hashes, d_out)
+        return _mod_d_out(hashes, d_out)
 
     def outer_u32_tiles(
         self, seeds: np.ndarray, values: np.ndarray, d_out: int
@@ -402,7 +408,7 @@ class XXHash32Family(HashFamily):
         def tile(rows: slice, cols: slice, out: np.ndarray, scratch: np.ndarray):
             hi = None if lane_hi is None else lane_hi[cols]
             xxhash32_lanes(seed_terms[rows, None], lane_lo[cols], hi, out, scratch)
-            return _mod_d_out_u32(out, d_out, scratch)
+            return _mod_d_out(out, d_out, scratch)
 
         return tile
 
@@ -411,7 +417,7 @@ class XXHash32Family(HashFamily):
     ) -> np.ndarray:
         seeds = np.asarray(seeds, dtype=np.uint64)
         hashes = xxhash32_int_array(np.asarray(values), seeds)
-        return _mod_d_out_u32(hashes, d_out).astype(np.int64)
+        return _mod_d_out(hashes, d_out).astype(np.int64)
 
 
 _DEFAULT_FAMILY: Optional[CarterWegmanHashFamily] = None

@@ -66,10 +66,12 @@ class TestCrossPathAgreement:
     """Property: hash_value == hash_values == hash_outer == hash_pairwise.
 
     Exercised on the edge inputs — value 0, the family's max domain value,
-    ``d_out=1`` — plus a random sample, for every family.
+    ``d_out=1``, a ``d_out`` past 2^32 (where a 32-bit hash is already
+    reduced but a 64-bit mix is not) — plus a random sample, for every
+    family.
     """
 
-    @pytest.mark.parametrize("d_out", [1, 2, 16, 257])
+    @pytest.mark.parametrize("d_out", [1, 2, 16, 257, (1 << 32) + 15])
     def test_all_paths_agree_on_edge_values(self, family, rng, d_out):
         values = np.array(
             [0, 1, 2, FAMILY_MAX_VALUE[family.name]], dtype=np.uint64
@@ -80,10 +82,11 @@ class TestCrossPathAgreement:
             for s in seeds
         ]
         outer = family.hash_outer(seeds, values, d_out)
-        outer_u32 = family.hash_outer_u32(seeds, values, d_out)
         assert outer.tolist() == scalar
-        assert outer_u32.dtype == np.uint32
-        assert outer_u32.tolist() == scalar
+        if d_out <= 1 << 32:
+            outer_u32 = family.hash_outer_u32(seeds, values, d_out)
+            assert outer_u32.dtype == np.uint32
+            assert outer_u32.tolist() == scalar
         for i, seed in enumerate(seeds):
             assert family.hash_values(int(seed), values, d_out).tolist() == scalar[i]
         pairwise = family.hash_pairwise(seeds, values, d_out)
@@ -107,18 +110,40 @@ class TestCrossPathAgreement:
 
 
 class TestModDOutU32:
-    """The libdivide remainder ``h - (h // d) * d`` is exactly ``h % d``."""
+    """On uint32 hashes, the libdivide remainder ``h - (h // d) * d`` is
+    exactly ``h % d``."""
 
     @pytest.mark.parametrize(
         "d_out",
         [1, 2, 3, 7, 13, 16, 1023, (1 << 31) - 1, 1 << 31, (1 << 32) - 1],
     )
     def test_matches_remainder_on_edge_values(self, d_out):
-        from repro.hashing.families import _mod_d_out_u32
+        from repro.hashing.families import _mod_d_out
 
         hashes = np.array([0, 1, 1 << 31, (1 << 32) - 1], dtype=np.uint32)
-        reduced = _mod_d_out_u32(hashes, d_out)
+        reduced = _mod_d_out(hashes, d_out)
         assert reduced.dtype == np.uint32
+        assert reduced.tolist() == [int(h) % d_out for h in hashes]
+
+
+class TestModDOutU64:
+    """On uint64 mixes, the reduction is exact for every ``d_out`` below
+    2^64, and the identity from 2^64 on."""
+
+    @pytest.mark.parametrize(
+        "d_out",
+        [1, 3, 16, 1023, (1 << 32) - 1, 1 << 32, (1 << 32) + 15,
+         1 << 63, (1 << 64) - 1, 1 << 64, (1 << 64) + 3],
+    )
+    def test_matches_remainder_on_edge_values(self, d_out):
+        from repro.hashing.families import _mod_d_out
+
+        hashes = np.array(
+            [0, 1, (1 << 32) - 1, 1 << 32, (1 << 63) + 5, (1 << 64) - 1],
+            dtype=np.uint64,
+        )
+        reduced = _mod_d_out(hashes, d_out)
+        assert reduced.dtype == np.uint64
         assert reduced.tolist() == [int(h) % d_out for h in hashes]
 
 

@@ -76,14 +76,14 @@ class FaultInjectingStore:
         return wrapped
 
 
-def make_config(flush_size=FLUSH_SIZE, admitted=None):
+def make_config(flush_size=FLUSH_SIZE, admitted=None, composition="basic"):
     if admitted is None:
         # Two epochs' worth of flushes: the third epoch's are rejected,
         # so recovery is exercised on both admitted and refused charges.
         admitted = 2 * ((EPOCH_SIZE + flush_size - 1) // flush_size)
     return StreamConfig.from_targets(
         d=D, flush_size=flush_size, eps_targets=(1.0, 3.0, 6.0),
-        delta=1e-9, admitted_flushes=admitted,
+        delta=1e-9, admitted_flushes=admitted, composition=composition,
     )
 
 
@@ -113,9 +113,9 @@ def reference():
 
 
 def crash_and_resume(tmp_path, method, call_index, when, reference,
-                     resume_shards=None):
+                     resume_shards=None, config=None):
     path = str(tmp_path / "state.db")
-    config = make_config()
+    config = config or make_config()
     wrapped = FaultInjectingStore(
         SqliteStateStore(path), method, call_index, when
     )
@@ -180,6 +180,26 @@ class TestCrashWindows:
         crash_and_resume(
             tmp_path, "record_release", 3, "before", reference,
             resume_shards=2,
+        )
+
+
+class TestAdvancedCompositionResume:
+    @pytest.mark.parametrize(
+        "method, call_index",
+        [
+            # The first flush's charge never committed, so the run
+            # resumes from an empty ledger.
+            ("record_flushes", 1),
+            ("record_release", 3),
+        ],
+    )
+    def test_crash_and_resume(self, tmp_path, method, call_index):
+        config = make_config(composition="advanced")
+        reference = drive(
+            TelemetryPipeline(config, np.random.default_rng(SEED))
+        )
+        crash_and_resume(
+            tmp_path, method, call_index, "before", reference, config=config
         )
 
 

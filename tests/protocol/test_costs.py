@@ -49,6 +49,21 @@ class TestTracker:
         tracker.send("shuffler:1", "x", 90)
         assert tracker.max_cost("shuffler").bytes_sent == 90
 
+    def test_max_cost_is_field_wise(self):
+        # Table III's aux cells: the byte-busiest shuffler need not be
+        # the one that computed longest.
+        tracker = CostTracker()
+        tracker.send("shuffler:0", "shuffler:1", 90)
+        tracker.send("shuffler:1", "server", 40)
+        tracker.parties["shuffler:0"].compute_seconds = 1.7
+        tracker.parties["shuffler:1"].compute_seconds = 1.2
+        tracker.parties["server"].compute_seconds = 9.0
+        busiest = tracker.max_cost("shuffler")
+        assert busiest.bytes_sent == 90
+        assert busiest.bytes_received == 90
+        assert busiest.compute_seconds == 1.7
+        assert tracker.max_cost("ghost") == PartyCost()
+
     def test_scaled(self):
         tracker = CostTracker()
         tracker.send("a", "b", 100)
